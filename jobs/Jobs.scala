@@ -1,17 +1,33 @@
 package repro.jobs
 
+import org.apache.spark.SparkConf
+import org.apache.spark.graphx.GraphXUtils
 import org.apache.spark.sql.SparkSession
+import repro.core.{EmptyAgg, Pooled, Unioned}
 import repro.harness._
 
-/** Shared session builder for the spark-submit entrypoints. */
+/** Shared session builder for the spark-submit entrypoints, the benchmark
+  * and the tests.
+  *
+  * RDD shuffles (the GraphX backend's payloads and `Agg` messages) go
+  * through Kryo with the message classes and GraphX's own classes
+  * registered. Dataset shuffles (the MR backend) use their own encoders and
+  * are not affected by `spark.serializer`.
+  */
 object JobSession {
-  def make(name: String): SparkSession =
+  def make(name: String): SparkSession = {
+    // registerKryoClasses also selects the KryoSerializer
+    val conf = new SparkConf().registerKryoClasses(Array(
+      classOf[Pooled], classOf[Unioned], EmptyAgg.getClass, classOf[Array[Double]]))
+    GraphXUtils.registerKryoClasses(conf)
     SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
+      .config(conf)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
+  }
 
   def scaleArg(args: Array[String], default: Double): Double =
     args.headOption.map(_.toDouble).getOrElse(default)

@@ -6,8 +6,8 @@ package repro.core
   * commutative + associative it can run anywhere in the pipeline (combiner /
   * partial-gather) and is represented as [[Pooled]]; otherwise messages are
   * *unioned* and the real reduce happens in `apply_node` ([[Unioned]], the
-  * GAT case). [[Marker]] is an activity-keepalive used only by the native
-  * Pregel backend (see PregelBackend) and is ignored by every merge.
+  * GAT case). [[EmptyAgg]] stands for "no messages" and is the identity of
+  * every merge.
   */
 sealed trait Agg extends Serializable
 
@@ -24,9 +24,6 @@ final case class Pooled(sum: Array[Double], wsum: Double) extends Agg
   */
 final case class Unioned(msgs: List[(Array[Double], Double)]) extends Agg
 
-/** Keepalive message; merges away. */
-case object Marker extends Agg
-
 object Agg {
   /** Commutative + associative merge — the combiner the paper runs on the
     * sender side (partial-gather) and Pregel runs in `mergeMsg`.
@@ -34,8 +31,6 @@ object Agg {
   def merge(a: Agg, b: Agg): Agg = (a, b) match {
     case (EmptyAgg, x) => x
     case (x, EmptyAgg) => x
-    case (Marker, x)   => x
-    case (x, Marker)   => x
     case (Pooled(s1, w1), Pooled(s2, w2)) =>
       require(s1.length == s2.length, "Pooled merge dim mismatch")
       val out = new Array[Double](s1.length)

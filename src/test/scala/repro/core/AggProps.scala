@@ -36,10 +36,6 @@ object AggProps extends Properties("Agg") {
     eqPooled(Agg.merge(EmptyAgg, a), a) && eqPooled(Agg.merge(a, EmptyAgg), a)
   }
 
-  property("marker is absorbed") = Prop.forAll(genPooled) { a =>
-    eqPooled(Agg.merge(Marker, a), a) && eqPooled(Agg.merge(a, Marker), a)
-  }
-
   property("union merge preserves the multiset") = Prop.forAll(genUnion, genUnion) { (a, b) =>
     val m = Agg.merge(a, b).asInstanceOf[Unioned]
     m.msgs.map(_._1(0)).sorted == (a.msgs ++ b.msgs).map(_._1(0)).sorted

@@ -13,13 +13,6 @@ class AggSpec extends AnyFunSuite {
     assert(Agg.merge(EmptyAgg, EmptyAgg) == EmptyAgg)
   }
 
-  test("Marker merges away") {
-    val p = pooled(1, 2)
-    assert(Agg.merge(Marker, p) eq p)
-    assert(Agg.merge(p, Marker) eq p)
-    assert(Agg.merge(Marker, Marker) == Marker)
-  }
-
   test("Pooled merge sums element-wise and adds weights") {
     val m = Agg.merge(Pooled(Array(1.0, 2.0), 2.0), Pooled(Array(10.0, 20.0), 3.0))
     m match {
