@@ -3,22 +3,24 @@ package repro.jobs
 import org.apache.spark.SparkConf
 import org.apache.spark.graphx.GraphXUtils
 import org.apache.spark.sql.SparkSession
+import repro.batch.RoundBuf
 import repro.core.{EmptyAgg, Pooled, Unioned}
 import repro.harness._
 
 /** Shared session builder for the spark-submit entrypoints, the benchmark
   * and the tests.
   *
-  * RDD shuffles (the GraphX backend's payloads and `Agg` messages) go
-  * through Kryo with the message classes and GraphX's own classes
-  * registered. Dataset shuffles (the MR backend) use their own encoders and
-  * are not affected by `spark.serializer`.
+  * Kryo carries the GraphX backend's RDD shuffles (payloads and `Agg`
+  * messages) and the MR backend's fold buffer ([[RoundBuf]], a Kryo-encoded
+  * Dataset column), so the message classes, the buffer and GraphX's own
+  * classes are registered. The MR backend's other Dataset records use
+  * Spark's own encoders.
   */
 object JobSession {
   def make(name: String): SparkSession = {
     // registerKryoClasses also selects the KryoSerializer
     val conf = new SparkConf().registerKryoClasses(Array(
-      classOf[Pooled], classOf[Unioned], EmptyAgg.getClass, classOf[Array[Double]]))
+      classOf[Pooled], classOf[Unioned], EmptyAgg.getClass, classOf[Array[Double]], classOf[RoundBuf]))
     GraphXUtils.registerKryoClasses(conf)
     SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))

@@ -1,29 +1,32 @@
 package repro.batch
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.sql.{DataFrame, Encoder, Encoders, SparkSession}
+import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
+import org.apache.spark.sql.expressions.Aggregator
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{ArrayType, DoubleType, LongType}
-import org.apache.spark.sql.Encoders
 import repro.core._
 
 /** InferTurbo on a batch-processing system (the paper's MapReduce/Spark
   * backend), expressed with the DataFrame API.
   *
-  * One GNN layer per round. Within a round:
+  * One GNN layer is one round, and a round is one reduce keyed by the
+  * receiving vertex:
   *   1. scatter: each vertex computes its payload once (`scatter_nbrs`
-  *      content);
-  *   2. the edge table joins the payloads — the shuffle *is* the message
-  *      delivery (out-edge info re-sent every round, as in the paper's
-  *      stateless reduce);
-  *   3. gather: with **partial-gather** a typed [[PooledUdaf]] combiner
-  *      reduces map-side before the shuffle; without it, `groupByKey` +
-  *      `mapGroups` ships every edge message to the receiver (no combining
-  *      anywhere — the paper's no-combiner baseline) and the reduce runs in
-  *      `apply_node`;
-  *   4. `apply_node` updates the state; the new node table is persisted to
-  *      external storage (parquet spill) before the next round, mirroring
-  *      the paper's MR dataflow where no state lives in memory across
-  *      rounds.
+  *      content), and the edge table joins the payloads, so the out-edge
+  *      info is re-sent every round as in the paper's stateless reduce;
+  *   2. map: three kinds of [[RoundIn]] record meet at the receiver — its
+  *      own state, each edge message `apply_edge(payload, w)` and each
+  *      reference to a broadcast hub's payload;
+  *   3. reduce: one [[RoundFold]] folds a receiver's records and runs
+  *      `apply_node`. With **partial-gather** it is driven by a grouped
+  *      aggregate, which Spark runs map-side first (the paper's combiner);
+  *      without it, by `groupByKey` + `mapGroups`, so every record crosses
+  *      the shuffle exactly once and nothing combines before the receiver
+  *      (the paper's no-combiner baseline);
+  *   4. the new node table is persisted to external storage (parquet spill)
+  *      before the next round, mirroring the paper's MR dataflow where no
+  *      state lives in memory across rounds.
   *
   * Strategies:
   *  - `partialGather`: combiner on/off (exact either way);
@@ -34,6 +37,10 @@ import repro.core._
   *    mechanism), so hub messages never cross the shuffle;
   *  - `shadowNodes`: the [[ShadowNodes]] mirror split, applied as
   *    preprocessing and undone on output.
+  *
+  * Edges whose source or destination has no node row are dropped, with or
+  * without strategies. A vertex id that appears twice in the node table
+  * fails the round with an `IllegalArgumentException` naming the id.
   */
 object BatchBackend {
 
@@ -41,7 +48,6 @@ object BatchBackend {
       partialGather: Boolean = true,
       broadcastHubs: Boolean = false,
       shadowNodes: Boolean = false,
-      lambda: Double = 0.1,
       numWorkers: Int = 64,
       spillDir: Option[String] = None)
 
@@ -49,20 +55,18 @@ object BatchBackend {
   def run(spark: SparkSession, nodes: DataFrame, edges: DataFrame, model: GnnModel,
           opts: BatchOpts = BatchOpts()): DataFrame = {
     val needThr = opts.broadcastHubs || opts.shadowNodes
-    val thr = if (needThr) ShadowNodes.threshold(edges.count(), opts.numWorkers, opts.lambda) else 0L
+    val thr = if (needThr) ShadowNodes.threshold(edges.count(), opts.numWorkers) else 0L
 
-    val (n0, e0) =
-      if (opts.shadowNodes) {
-        val s = ShadowNodes.transform(spark, nodes, edges, thr)
-        (s.nodes, s.edges)
-      } else (nodes, edges)
+    val shadowed = if (opts.shadowNodes) Some(ShadowNodes.transform(spark, nodes, edges, thr)) else None
+    val (n0, e0) = shadowed.fold((nodes, edges))(s => (s.nodes, s.edges))
 
     val hubIds: Option[DataFrame] =
-      if (opts.broadcastHubs) {
+      if (!opts.broadcastHubs) None
+      else {
         val hubs = e0.groupBy("src").agg(count(lit(1)).as("deg"))
           .filter(col("deg") > thr).select(col("src").as("hid")).cache()
-        if (hubs.count() > 0) Some(hubs) else None
-      } else None
+        if (hubs.count() > 0) Some(hubs) else { hubs.unpersist(); None }
+      }
 
     val eCached = e0.select("src", "dst", "w").cache()
     var cur = n0.select(col("id"), col("feat").as("h"))
@@ -72,6 +76,10 @@ object BatchBackend {
       cur = materialize(spark, next, opts, round)
       round += 1
     }
+    // the last round's table is spilled or checkpointed, so no cache is needed
+    eCached.unpersist()
+    hubIds.foreach(_.unpersist())
+    shadowed.foreach(_.unpersist())
     // drop shadow mirrors: only ids present in the original node table
     val result =
       if (opts.shadowNodes) cur.join(nodes.select("id"), Seq("id"))
@@ -81,95 +89,40 @@ object BatchBackend {
 
   private def runRound(spark: SparkSession, cur: DataFrame, edges: DataFrame, layer: GasLayer,
                        opts: BatchOpts, hubIds: Option[DataFrame]): DataFrame = {
-    val pg = opts.partialGather && layer.partialGather
-    val payloadUdf = udf((h: Seq[Double]) => layer.scatterPayload(h.toArray).toSeq)
-    val applyEdgeUdf = udf((p: Seq[Double], w: Double) => layer.applyEdge(p.toArray, w).toSeq)
-
-    val payload = cur.select(col("id"), payloadUdf(col("h")).as("p"))
+    import spark.implicits._
+    val states = cur.as[(Long, Array[Double])]
+    val payload = states.map { case (id, h) => (id, layer.scatterPayload(h)) }.toDF("id", "p")
 
     // --- broadcast strategy: hub payloads leave via a broadcast variable,
     //     hub out-edges carry only (src, w) and receivers look payloads up
-    val (restEdges, hubAggDf, hubLookup) = hubIds match {
+    val (restEdges, hubRefs, hubPayloads) = hubIds match {
       case Some(hubs) =>
-        val rest = edges.join(broadcast(hubs), edges("src") === hubs("hid"), "left_anti")
-        val hubEdges = edges.join(broadcast(hubs), edges("src") === hubs("hid"))
-          .select(edges("src"), edges("dst"), edges("w"))
-        val hubPayloads: Map[Long, Array[Double]] = payload
-          .join(broadcast(hubs), payload("id") === hubs("hid"))
-          .select(payload("id"), payload("p")).collect()
-          .map(r => r.getLong(0) -> r.getSeq[Double](1).toArray).toMap
-        val bc = spark.sparkContext.broadcast(hubPayloads)
-        val hubAgg = hubEdges.groupBy("dst")
-          .agg(collect_list(col("src")).as("hsrcs"), collect_list(col("w")).as("hws"))
-          .select(col("dst").as("hdst"), col("hsrcs"), col("hws"))
-        (rest, Some(hubAgg), Some(bc))
+        val isHub = edges("src") === hubs("hid")
+        val payloads = payload.join(broadcast(hubs), payload("id") === hubs("hid"))
+          .select(payload("id"), payload("p")).as[(Long, Array[Double])].collect().toMap
+        val refs = edges.join(broadcast(hubs), isHub)
+          .select(edges("src"), edges("dst"), edges("w")).as[(Long, Long, Double)]
+          .map { case (src, dst, w) => RoundIn(dst, null, null, w, src) }
+        (edges.join(broadcast(hubs), isHub, "left_anti"), Some(refs),
+          Some(spark.sparkContext.broadcast(payloads)))
       case None => (edges, None, None)
     }
 
     val msgs = restEdges.join(payload, restEdges("src") === payload("id"))
-      .select(restEdges("dst"), applyEdgeUdf(col("p"), restEdges("w")).as("m"), restEdges("w"))
+      .select(restEdges("dst"), payload("p"), restEdges("w")).as[(Long, Array[Double], Double)]
+      .map { case (dst, p, w) => RoundIn(dst, null, layer.applyEdge(p, w), w, 0L) }
+    val own = states.map { case (id, h) => RoundIn(id, h, null, 0.0, 0L) }
+    val records = hubRefs.foldLeft(own.union(msgs))(_ union _)
 
-    // receiver-side reconstruction of hub messages from the broadcast table
-    val hubAggOf: (Seq[Long], Seq[Double]) => Agg = (hsrcs, hws) =>
-      if (hsrcs == null || hubLookup.isEmpty) EmptyAgg
-      else {
-        val lookup = hubLookup.get.value
-        hsrcs.zip(hws).foldLeft(EmptyAgg: Agg) { case (acc, (s, w)) =>
-          val m = layer.applyEdge(lookup(s), w)
-          Agg.merge(acc, if (pg) layer.initAgg(m, w) else Unioned(List((m, w))))
-        }
-      }
-
-    val base: DataFrame =
-      if (pg) {
-        val pooled = udaf(new PooledUdaf, Encoders.product[MsgIn])
-        val aggDf = msgs.groupBy("dst")
-          .agg(pooled(col("m"), col("w")).as("agg"))
-          .select(col("dst"), col("agg.sum").as("msum"), col("agg.wsum").as("mwsum"))
-        cur.join(aggDf, cur("id") === aggDf("dst"), "left_outer")
-      } else {
-        // no combiner anywhere: every edge message crosses the shuffle and
-        // the reduce happens entirely on the receiver (union semantics)
-        import spark.implicits._
-        val aggDf = msgs.toDF("_1", "_2", "_3").as[(Long, Seq[Double], Double)]
-          .groupByKey(_._1)
-          .mapGroups { (d, it) =>
-            val buf = it.toVector
-            (d, buf.map(_._2), buf.map(_._3))
-          }
-          .toDF("dst", "ms", "ws")
-        cur.join(aggDf, cur("id") === aggDf("dst"), "left_outer")
-      }
-
-    val (joined, hsrcCol, hwsCol) = hubAggDf match {
-      case Some(hDf) =>
-        (base.join(hDf, cur("id") === hDf("hdst"), "left_outer"), col("hsrcs"), col("hws"))
-      case None =>
-        (base, lit(null).cast(ArrayType(LongType)), lit(null).cast(ArrayType(DoubleType)))
-    }
-
-    if (pg) {
-      val applyPooled = udf((h: Seq[Double], sum: Seq[Double], wsum: Double,
-                             hsrcs: Seq[Long], hws: Seq[Double]) => {
-        val shuffled: Agg = if (sum == null) EmptyAgg else Pooled(sum.toArray, wsum)
-        layer.applyNode(h.toArray, Agg.merge(shuffled, hubAggOf(hsrcs, hws))).toSeq
-      })
-      // coalesce the primitive input: Spark null-guards UDFs with primitive
-      // params and would otherwise emit null h for in-degree-0 vertices
-      joined.select(cur("id"),
-        applyPooled(cur("h"), col("msum"), coalesce(col("mwsum"), lit(0.0)),
-          hsrcCol, hwsCol).as("h"))
-    } else {
-      val applyUnion = udf((h: Seq[Double], ms: Seq[Seq[Double]], ws: Seq[Double],
-                            hsrcs: Seq[Long], hws: Seq[Double]) => {
-        val shuffled: Agg =
-          if (ms == null || ms.isEmpty) EmptyAgg
-          else Unioned(ms.zip(ws).map { case (m, w) => (m.toArray, w) }.toList)
-        layer.applyNode(h.toArray, Agg.merge(shuffled, hubAggOf(hsrcs, hws))).toSeq
-      })
-      joined.select(cur("id"),
-        applyUnion(cur("h"), col("ms"), col("ws"), hsrcCol, hwsCol).as("h"))
-    }
+    val fold = new RoundFold(layer, hubPayloads)
+    val reduced =
+      if (opts.partialGather && layer.partialGather)
+        records.groupBy("key").agg(udaf(fold, Encoders.product[RoundIn])(records.columns.toSeq.map(col): _*).as("h"))
+      else
+        records.groupByKey(_.key)
+          .mapGroups((key, rs) => (key, fold.finish(rs.foldLeft(fold.zero)(fold.reduce))))
+          .toDF("key", "h")
+    reduced.where(col("h").isNotNull).select(col("key").as("id"), col("h"))
   }
 
   /** Between rounds the MR backend keeps no state in memory: spill the node
@@ -186,4 +139,57 @@ object BatchBackend {
       case None =>
         df.localCheckpoint(true)
     }
+}
+
+/** One record of a round's reduce, keyed by the receiving vertex: its own
+  * state (`h`), an edge message (`m`, `w`), or a reference to the payload of
+  * the broadcast hub `src` over an edge of weight `w`.
+  */
+final case class RoundIn(key: Long, h: Array[Double], m: Array[Double], w: Double, src: Long)
+
+/** A receiver's partial fold: its state (null until the state record
+  * arrives, and `key` with it), the gathered messages and the hub references
+  * still to resolve.
+  */
+final case class RoundBuf(key: Long, h: Array[Double], agg: Agg, hubs: List[(Long, Double)])
+
+/** The reduce of one MR round. `reduce` and `merge` only gather, so Spark may
+  * run them map-side (the combiner); `finish` resolves the hub references
+  * from the broadcast payloads and runs `apply_node`. A new message is merged
+  * on the left, so a [[Unioned]] list grows by prepending.
+  */
+final class RoundFold(layer: GasLayer, hubPayloads: Option[Broadcast[Map[Long, Array[Double]]]])
+    extends Aggregator[RoundIn, RoundBuf, Array[Double]] {
+
+  def zero: RoundBuf = RoundBuf(0L, null, EmptyAgg, Nil)
+
+  def reduce(b: RoundBuf, r: RoundIn): RoundBuf =
+    if (r.h != null) withState(b, r.key, r.h)
+    else if (r.m != null) b.copy(agg = Agg.merge(layer.initAgg(r.m, r.w), b.agg))
+    else b.copy(hubs = (r.src, r.w) :: b.hubs)
+
+  def merge(b1: RoundBuf, b2: RoundBuf): RoundBuf = {
+    val b = if (b2.h == null) b1 else withState(b1, b2.key, b2.h)
+    b.copy(agg = Agg.merge(b2.agg, b1.agg), hubs = b2.hubs ::: b1.hubs)
+  }
+
+  private def withState(b: RoundBuf, key: Long, h: Array[Double]): RoundBuf = {
+    require(b.h == null, s"duplicate vertex id $key in the node table")
+    b.copy(key = key, h = h)
+  }
+
+  /** Null for a key with no state: messages to a missing vertex are dropped. */
+  def finish(b: RoundBuf): Array[Double] =
+    if (b.h == null) null
+    else {
+      // a hub with no node row has no payload and sends nothing
+      val agg = b.hubs.foldLeft(b.agg) { case (acc, (src, w)) =>
+        hubPayloads.flatMap(_.value.get(src))
+          .fold(acc)(p => Agg.merge(layer.initAgg(layer.applyEdge(p, w), w), acc))
+      }
+      layer.applyNode(b.h, agg)
+    }
+
+  def bufferEncoder: Encoder[RoundBuf] = Encoders.kryo[RoundBuf]
+  def outputEncoder: Encoder[Array[Double]] = ExpressionEncoder[Array[Double]]()
 }

@@ -22,11 +22,17 @@ object ShadowNodes {
     * acknowledges); it is the quantity the threshold bounds.
     */
   final case class Shadowed(nodes: DataFrame, edges: DataFrame, nMirrors: Long, nHubs: Long,
-                            maxOutAfterSplit: Long)
+                            maxOutAfterSplit: Long, hubIndex: Option[DataFrame]) {
+    /** Drops the cached hub index once `nodes` and `edges` are consumed. */
+    def unpersist(): Unit = hubIndex.foreach(_.unpersist())
+  }
 
-  /** Hub threshold heuristic from the paper: λ · |E| / workers (λ = 0.1). */
-  def threshold(totalEdges: Long, numWorkers: Int, lambda: Double = 0.1): Long =
-    math.max(1L, (lambda * totalEdges / numWorkers).toLong)
+  /** The paper's λ in the hub threshold. */
+  val Lambda = 0.1
+
+  /** Hub threshold heuristic from the paper: λ · |E| / workers. */
+  def threshold(totalEdges: Long, numWorkers: Int): Long =
+    math.max(1L, (Lambda * totalEdges / numWorkers).toLong)
 
   def transform(spark: SparkSession, nodes: DataFrame, edges: DataFrame, thr: Long): Shadowed = {
     val outDeg = edges.groupBy("src").agg(count(lit(1)).as("deg"))
@@ -35,7 +41,7 @@ object ShadowNodes {
     val nHubs = hubs.count()
     if (nHubs == 0) {
       val mx = outDeg.agg(max("deg")).head().getLong(0)
-      return Shadowed(nodes, edges, 0L, 0L, mx)
+      return Shadowed(nodes, edges, 0L, 0L, mx, None)
     }
 
     val base = nodes.agg(max("id")).head().getLong(0) + 1L
@@ -76,6 +82,6 @@ object ShadowNodes {
     val nodes2 = nodes.union(mirrorNodes)
 
     val nMirrors = mirrors.count()
-    Shadowed(nodes2, edges2, nMirrors, nHubs, maxOutAfterSplit)
+    Shadowed(nodes2, edges2, nMirrors, nHubs, maxOutAfterSplit, Some(hubsIdx))
   }
 }

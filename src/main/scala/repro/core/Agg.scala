@@ -20,7 +20,8 @@ case object EmptyAgg extends Agg
 final case class Pooled(sum: Array[Double], wsum: Double) extends Agg
 
 /** Multiset union of (message, edgeWeight) pairs — for non-associative
-  * reduces (attention). List concat keeps merge O(min).
+  * reduces (attention). Merge copies the left list, so callers that add one
+  * message at a time put it on the left.
   */
 final case class Unioned(msgs: List[(Array[Double], Double)]) extends Agg
 

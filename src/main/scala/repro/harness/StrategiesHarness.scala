@@ -66,7 +66,7 @@ object StrategiesHarness {
       outEdges.join(hubs.select(col("src").as("h")), outEdges("src") === col("h")).count()
     }
     sb ++= s"\nout-skew graph: $totalE edges, max out-degree $maxOut, hub threshold $thr " +
-      s"(lambda=0.1, simulated workers=${cfg.numWorkers}), hub edges=$hubEdgeCount\n"
+      s"(lambda=${ShadowNodes.Lambda}, simulated workers=${cfg.numWorkers}), hub edges=$hubEdgeCount\n"
 
     val noCombiner = BatchOpts(partialGather = false, numWorkers = cfg.numWorkers)
     val (_, base) = SparkCost.measure(spark, "strat-base") {

@@ -52,7 +52,9 @@ object PregelBackend {
           val m = layer.applyEdge(ctx.srcAttr, ctx.attr)
           ctx.sendToDst(if (pg) layer.initAgg(m, ctx.attr) else Unioned(List((m, ctx.attr))))
         },
-        Agg.merge, TripletFields.Src)
+        // GraphX passes (accumulated, new): the new message goes on the left
+        // so a Unioned list grows by prepending
+        (acc, m) => Agg.merge(m, acc), TripletFields.Src)
       val next = h.leftJoin(msgs)((_, x, agg) => layer.applyNode(x, agg.getOrElse(EmptyAgg))).cache()
       next.count()
       payload.unpersist(blocking = false)

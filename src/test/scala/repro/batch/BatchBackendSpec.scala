@@ -1,10 +1,11 @@
 package repro.batch
 
 import repro.SparkSpec
-import repro.BackendTestUtil.{assertMatchesLocal, fixture}
+import repro.BackendTestUtil.{assertMatchesLocal, collectH, fixture}
 import repro.batch.BatchBackend.BatchOpts
 import repro.core.Models
 import repro.graphgen.{GraphGen, GraphSpec}
+import repro.metrics.SparkCost
 
 class BatchBackendSpec extends SparkSpec {
 
@@ -102,5 +103,42 @@ class BatchBackendSpec extends SparkSpec {
     assertMatchesLocal(
       BatchBackend.run(spark, fz.nodes, fz.edges, m, BatchOpts(partialGather = true)),
       fz.local, fz.reference(m), tol = 1e-6)
+  }
+
+  test("broadcast strategy drops a hub edge whose source has no node row") {
+    import spark.implicits._
+    // 40 out-edges put the missing source far above the threshold of 8 workers
+    val dangling = (0L until 40L).map(d => (1000000L, d, 1.0)).toDF("src", "dst", "w")
+    val edges = fix.edges.select("src", "dst", "w").union(dangling)
+    val shuffled = collectH(BatchBackend.run(spark, fix.nodes, edges, sage2, BatchOpts(numWorkers = 8)))
+    val hubbed = collectH(BatchBackend.run(spark, fix.nodes, edges, sage2,
+      BatchOpts(broadcastHubs = true, numWorkers = 8)))
+    assert(hubbed.keySet == shuffled.keySet)
+    hubbed.foreach { case (id, h) =>
+      h.zip(shuffled(id)).foreach { case (x, y) => assert(math.abs(x - y) < 1e-9) }
+    }
+  }
+
+  test("without partial-gather each message and state crosses the shuffle once") {
+    val n = fix.nodes.count()
+    val e = fix.edges.count()
+    val (_, cost) = SparkCost.measure(spark, "bb-no-combiner") {
+      BatchBackend.run(spark, fix.nodes, fix.edges, sage2, BatchOpts(partialGather = false)).collect()
+    }
+    // per round: the edge join shuffles edges and payloads, the reduce
+    // shuffles messages and states
+    assert(cost.shuffleWriteRecords == sage2.layers.size * (2 * e + 2 * n))
+  }
+
+  test("a duplicate vertex id fails the reduce with an error naming it") {
+    val nodes = fix.nodes.union(fix.nodes.filter("id = 17"))
+    Seq(true, false).foreach { pg =>
+      val err = intercept[Exception] {
+        BatchBackend.run(spark, nodes, fix.edges, sage2, BatchOpts(partialGather = pg)).collect()
+      }
+      val causes = Iterator.iterate[Throwable](err)(_.getCause).takeWhile(_ != null).toSeq
+      assert(causes.exists(c => c.isInstanceOf[IllegalArgumentException] &&
+        c.getMessage.contains("duplicate vertex id 17")), s"partialGather=$pg: $err")
+    }
   }
 }
