@@ -80,7 +80,7 @@ object StrategiesJob {
     val spark = JobSession.make("inferturbo-strategies")
     val cfg = StrategiesHarness.Config(
       nNodes = args.headOption.map(_.toLong).getOrElse(20000L))
-    try println(StrategiesHarness.run(spark, cfg))
+    try println(StrategiesHarness.run(spark, cfg).report)
     finally spark.stop()
   }
 }

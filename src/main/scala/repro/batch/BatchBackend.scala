@@ -30,11 +30,12 @@ import repro.core._
   *
   * Strategies:
   *  - `partialGather`: combiner on/off (exact either way);
-  *  - `broadcastHubs`: the paper's broadcast strategy — payloads of
-  *    vertices with out-degree > threshold are shipped once per worker via a
-  *    Spark broadcast variable; their out-edges carry only the source id,
-  *    and receivers look the payload up (the paper's identifier/lookup
-  *    mechanism), so hub messages never cross the shuffle;
+  *  - `broadcastHubs`: the paper's broadcast strategy — payloads of the
+  *    [[ShadowNodes.hubs]] are shipped once per worker via a Spark broadcast
+  *    variable, destroyed when the round is materialized; hub out-edges, split
+  *    from the rest once, carry only the source id, and receivers look the
+  *    payload up (the paper's identifier/lookup mechanism), so hub messages
+  *    never cross the shuffle;
   *  - `shadowNodes`: the [[ShadowNodes]] mirror split, applied as
   *    preprocessing and undone on output.
   *
@@ -54,32 +55,28 @@ object BatchBackend {
   /** Full-graph inference; returns DataFrame(id LONG, h ARRAY&lt;DOUBLE&gt;). */
   def run(spark: SparkSession, nodes: DataFrame, edges: DataFrame, model: GnnModel,
           opts: BatchOpts = BatchOpts()): DataFrame = {
-    val needThr = opts.broadcastHubs || opts.shadowNodes
-    val thr = if (needThr) ShadowNodes.threshold(edges.count(), opts.numWorkers) else 0L
-
-    val shadowed = if (opts.shadowNodes) Some(ShadowNodes.transform(spark, nodes, edges, thr)) else None
-    val (n0, e0) = shadowed.fold((nodes, edges))(s => (s.nodes, s.edges))
-
-    val hubIds: Option[DataFrame] =
-      if (!opts.broadcastHubs) None
-      else {
-        val hubs = e0.groupBy("src").agg(count(lit(1)).as("deg"))
-          .filter(col("deg") > thr).select(col("src").as("hid")).cache()
-        if (hubs.count() > 0) Some(hubs) else { hubs.unpersist(); None }
-      }
+    import spark.implicits._
+    lazy val thr = ShadowNodes.threshold(edges.count(), opts.numWorkers)
+    val (n0, e0) =
+      if (opts.shadowNodes) { val s = ShadowNodes.transform(spark, nodes, edges, thr); (s.nodes, s.edges) }
+      else (nodes, edges)
+    val hubs: Set[Long] = if (opts.broadcastHubs) ShadowNodes.hubs(e0, thr).keySet else Set.empty
 
     val eCached = e0.select("src", "dst", "w").cache()
+    val isHub = col("src").isInCollection(hubs)
+    val (restEdges, hubEdges) =
+      if (hubs.isEmpty) (eCached, None) else (eCached.filter(!isHub), Some(eCached.filter(isHub)))
     var cur = n0.select(col("id"), col("feat").as("h"))
-    var round = 0
-    model.layers.foreach { layer =>
-      val next = runRound(spark, cur, eCached, layer, opts, hubIds)
-      cur = materialize(spark, next, opts, round)
-      round += 1
+    model.layers.zipWithIndex.foreach { case (layer, round) =>
+      // the hubs' payloads alone (a hub with no node row has none)
+      val hubPayloads = hubEdges.map(_ => spark.sparkContext.broadcast(
+        cur.filter(col("id").isInCollection(hubs)).as[(Long, Array[Double])]
+          .map { case (id, h) => (id, layer.scatterPayload(h)) }.collect().toMap))
+      cur = materialize(spark, runRound(spark, cur, restEdges, hubEdges, hubPayloads, layer, opts), opts, round)
+      hubPayloads.foreach(_.destroy())
     }
     // the last round's table is spilled or checkpointed, so no cache is needed
     eCached.unpersist()
-    hubIds.foreach(_.unpersist())
-    shadowed.foreach(_.unpersist())
     // drop shadow mirrors: only ids present in the original node table
     val result =
       if (opts.shadowNodes) cur.join(nodes.select("id"), Seq("id"))
@@ -87,30 +84,20 @@ object BatchBackend {
     result.select("id", "h")
   }
 
-  private def runRound(spark: SparkSession, cur: DataFrame, edges: DataFrame, layer: GasLayer,
-                       opts: BatchOpts, hubIds: Option[DataFrame]): DataFrame = {
+  private def runRound(spark: SparkSession, cur: DataFrame, edges: DataFrame, hubEdges: Option[DataFrame],
+                       hubPayloads: Option[Broadcast[Map[Long, Array[Double]]]], layer: GasLayer,
+                       opts: BatchOpts): DataFrame = {
     import spark.implicits._
     val states = cur.as[(Long, Array[Double])]
     val payload = states.map { case (id, h) => (id, layer.scatterPayload(h)) }.toDF("id", "p")
 
-    // --- broadcast strategy: hub payloads leave via a broadcast variable,
-    //     hub out-edges carry only (src, w) and receivers look payloads up
-    val (restEdges, hubRefs, hubPayloads) = hubIds match {
-      case Some(hubs) =>
-        val isHub = edges("src") === hubs("hid")
-        val payloads = payload.join(broadcast(hubs), payload("id") === hubs("hid"))
-          .select(payload("id"), payload("p")).as[(Long, Array[Double])].collect().toMap
-        val refs = edges.join(broadcast(hubs), isHub)
-          .select(edges("src"), edges("dst"), edges("w")).as[(Long, Long, Double)]
-          .map { case (src, dst, w) => RoundIn(dst, null, null, w, src) }
-        (edges.join(broadcast(hubs), isHub, "left_anti"), Some(refs),
-          Some(spark.sparkContext.broadcast(payloads)))
-      case None => (edges, None, None)
-    }
-
-    val msgs = restEdges.join(payload, restEdges("src") === payload("id"))
-      .select(restEdges("dst"), payload("p"), restEdges("w")).as[(Long, Array[Double], Double)]
+    val msgs = edges.join(payload, edges("src") === payload("id"))
+      .select(edges("dst"), payload("p"), edges("w")).as[(Long, Array[Double], Double)]
       .map { case (dst, p, w) => RoundIn(dst, null, layer.applyEdge(p, w), w, 0L) }
+    // broadcast strategy: hub out-edges carry only (src, w) and receivers
+    // look the payload up, so hub messages never cross the shuffle
+    val hubRefs = hubEdges.map(_.as[(Long, Long, Double)]
+      .map { case (src, dst, w) => RoundIn(dst, null, null, w, src) })
     val own = states.map { case (id, h) => RoundIn(id, h, null, 0.0, 0L) }
     val records = hubRefs.foldLeft(own.union(msgs))(_ union _)
 

@@ -12,7 +12,8 @@ import org.apache.spark.sql.functions._
   * out-edges and a *copy of all in-edges* (so every mirror computes exactly
   * `u`'s state each layer, and the union of the mirrors' out-messages equals
   * `u`'s). Mirror group 0 keeps the original id, so downstream consumers
-  * simply drop the extra mirror ids after inference.
+  * simply drop the extra mirror ids after inference. Hubs and mirror ids
+  * are laid out on the driver, from the [[hubs]] map.
   */
 object ShadowNodes {
 
@@ -21,11 +22,7 @@ object ShadowNodes {
     * inflate sender out-degrees afterwards — the overhead the paper
     * acknowledges); it is the quantity the threshold bounds.
     */
-  final case class Shadowed(nodes: DataFrame, edges: DataFrame, nMirrors: Long, nHubs: Long,
-                            maxOutAfterSplit: Long, hubIndex: Option[DataFrame]) {
-    /** Drops the cached hub index once `nodes` and `edges` are consumed. */
-    def unpersist(): Unit = hubIndex.foreach(_.unpersist())
-  }
+  final case class Shadowed(nodes: DataFrame, edges: DataFrame, nMirrors: Long, nHubs: Long, maxOutAfterSplit: Long)
 
   /** The paper's λ in the hub threshold. */
   val Lambda = 0.1
@@ -34,54 +31,57 @@ object ShadowNodes {
   def threshold(totalEdges: Long, numWorkers: Int): Long =
     math.max(1L, (Lambda * totalEdges / numWorkers).toLong)
 
+  /** Hub id → out-degree for every vertex with more than `thr` out-edges. A
+    * hub owns over `thr` edges, so there are fewer than |E| / thr hubs (about
+    * workers / λ at the paper's threshold): few enough to collect.
+    */
+  def hubs(edges: DataFrame, thr: Long): Map[Long, Long] =
+    edges.groupBy("src").agg(count(lit(1)).as("deg")).filter(col("deg") > thr)
+      .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+
+  def maxOutDegree(edges: DataFrame): Long =
+    edges.groupBy("src").count().agg(max("count")).head().getLong(0)
+
   def transform(spark: SparkSession, nodes: DataFrame, edges: DataFrame, thr: Long): Shadowed = {
-    val outDeg = edges.groupBy("src").agg(count(lit(1)).as("deg"))
-    val hubs = outDeg.filter(col("deg") > thr)
-      .withColumn("nGroups", ceil(col("deg") / lit(thr.toDouble)).cast("long"))
-    val nHubs = hubs.count()
-    if (nHubs == 0) {
-      val mx = outDeg.agg(max("deg")).head().getLong(0)
-      return Shadowed(nodes, edges, 0L, 0L, mx, None)
-    }
+    import spark.implicits._
+    val hubDeg = hubs(edges, thr)
+    if (hubDeg.isEmpty) return Shadowed(nodes, edges, 0L, 0L, maxOutDegree(edges))
 
-    val base = nodes.agg(max("id")).head().getLong(0) + 1L
-    // contiguous mirror-id ranges per hub: cumulative extra-mirror offsets
-    val cumW = Window.orderBy("src").rowsBetween(Window.unboundedPreceding, -1)
-    val hubsIdx = hubs
-      .withColumn("mirrorBase", lit(base) + coalesce(sum(col("nGroups") - 1).over(cumW), lit(0L)))
-      .select(col("src").as("hub"), col("nGroups"), col("mirrorBase"))
-      .cache()
-
+    // contiguous mirror-id ranges per hub, in hub-id order, after max(id)
+    val nGroups = hubDeg.toSeq.sorted.map { case (hub, deg) => hub -> ((deg - 1) / thr + 1) }
+    val nMirrors = nGroups.map(_._2 - 1).sum
+    val maxId = nodes.agg(max("id")).head().getLong(0)
+    require(maxId <= Long.MaxValue - nMirrors,
+      s"shadow-node mirror ids overflow: max vertex id $maxId + $nMirrors mirrors exceeds Long.MaxValue")
+    val index = nGroups.zip(nGroups.scanLeft(maxId + 1) { case (base, (_, n)) => base + n - 1 })
+      .map { case ((hub, n), base) => (hub, n, base) }
+    val hubsIdx = index.toDF("hub", "nGroups", "mirrorBase")
+    val hubIds = hubDeg.keySet
     // mirrors g = 1..nGroups-1 get fresh ids; g = 0 is the original id
-    val mirrors = hubsIdx
-      .select(col("hub"), col("mirrorBase"), explode(sequence(lit(1L), col("nGroups") - 1)).as("g"))
-      .select(col("hub"), (col("mirrorBase") + col("g") - 1).as("mirror"))
+    val mirrors = index.flatMap { case (hub, n, base) => (1L until n).map(g => hub -> (base + g - 1)) }
 
     // 1. out-edges of a hub are split evenly across its mirrors
     val grpW = Window.partitionBy("src").orderBy("dst", "w")
     val hubOut = edges.join(hubsIdx, edges("src") === hubsIdx("hub"))
       .withColumn("g", pmod(row_number().over(grpW).cast("long"), col("nGroups")))
       .select(
-        when(col("g") === 0, col("src")).otherwise(col("mirrorBase") + col("g") - 1).as("src"),
+        when(col("g") === 0, col("src")).otherwise(col("mirrorBase") + (col("g") - 1)).as("src"),
         col("dst"), col("w"))
-    val nonHubOut = edges.join(hubsIdx, edges("src") === hubsIdx("hub"), "left_anti")
-    val edges1 = nonHubOut.union(hubOut)
-    val maxOutAfterSplit = edges1.groupBy("src").count().agg(max("count")).head().getLong(0)
+    val edges1 = edges.filter(!col("src").isInCollection(hubIds)).union(hubOut)
+    val maxOutAfterSplit = maxOutDegree(edges1)
 
     // 2. in-edges of a hub are copied to every mirror (incl. the original)
-    val allMirrorIds = mirrors.union(hubsIdx.select(col("hub"), col("hub").as("mirror")))
+    val allMirrorIds = (mirrors ++ hubIds.map(h => h -> h)).toDF("hub", "mirror")
     val hubIn = edges1.join(allMirrorIds, edges1("dst") === allMirrorIds("hub"))
       .select(col("src"), col("mirror").as("dst"), col("w"))
-    val nonHubIn = edges1.join(hubsIdx, edges1("dst") === hubsIdx("hub"), "left_anti")
-    val edges2 = nonHubIn.union(hubIn)
+    val edges2 = edges1.filter(!col("dst").isInCollection(hubIds)).union(hubIn)
 
     // 3. mirror vertices copy the hub's full node row
+    val mirrorIds = mirrors.toDF("hub", "mirror")
     val otherCols = nodes.columns.filter(_ != "id").toSeq
-    val mirrorNodes = nodes.join(mirrors, nodes("id") === mirrors("hub"))
+    val mirrorNodes = nodes.join(mirrorIds, nodes("id") === mirrorIds("hub"))
       .select(col("mirror").as("id") +: otherCols.map(nodes(_)): _*)
-    val nodes2 = nodes.union(mirrorNodes)
 
-    val nMirrors = mirrors.count()
-    Shadowed(nodes2, edges2, nMirrors, nHubs, maxOutAfterSplit, Some(hubsIdx))
+    Shadowed(nodes.union(mirrorNodes), edges2, nMirrors, hubDeg.size.toLong, maxOutAfterSplit)
   }
 }

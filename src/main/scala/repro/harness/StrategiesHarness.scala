@@ -1,12 +1,11 @@
 package repro.harness
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.batch.{BatchBackend, ShadowNodes}
 import repro.batch.BatchBackend.BatchOpts
 import repro.core.Models
 import repro.graphgen.GraphGen
-import repro.metrics.SparkCost
+import repro.metrics.{Cost, SparkCost}
 
 /** Strategy studies backing the paper's Figs. 9–13 (figures are out of
   * scope; the load-balancing effect is reported as shuffle-traffic and
@@ -28,45 +27,54 @@ object StrategiesHarness {
 
   final case class Config(nNodes: Long = 20000, avgDeg: Double = 15, numWorkers: Int = 200)
 
-  private def pct(before: Long, after: Long): String =
-    f"${100.0 * (before - after) / math.max(1L, before)}%.1f%%"
+  /** The study's numbers; every `*Cut` is a percentage of its baseline. */
+  final case class Result(cfg: Config, inEdges: Long, pgOff: Cost, pgOn: Cost,
+                          outEdges: Long, maxOut: Long, threshold: Long, hubs: Int, hubEdges: Long,
+                          base: Cost, bc: Cost, mirrors: Long, maxOutAfterSplit: Long) {
+    def pgRecordsCut: Double = cut(pgOff.shuffleWriteRecords, pgOn.shuffleWriteRecords)
+    def pgBytesCut: Double = cut(pgOff.shuffleWriteBytes, pgOn.shuffleWriteBytes)
+    def bcRecordsCut: Double = cut(base.shuffleWriteRecords, bc.shuffleWriteRecords)
+    def bcBytesCut: Double = cut(base.shuffleWriteBytes, bc.shuffleWriteBytes)
 
-  def run(spark: SparkSession, cfg: Config = Config()): String = {
-    val sb = new StringBuilder
+    def report: String = {
+      def pct(x: Double) = f"$x%.1f%%"
+      s"""partial-gather (in-skew graph, ${cfg.nNodes} nodes, $inEdges edges):
+         |  shuffle write records: off=${pgOff.shuffleWriteRecords} on=${pgOn.shuffleWriteRecords} (reduction ${pct(pgRecordsCut)})
+         |  shuffle write bytes:   off=${pgOff.shuffleWriteBytes} on=${pgOn.shuffleWriteBytes} (reduction ${pct(pgBytesCut)})
+         |
+         |out-skew graph: $outEdges edges, max out-degree $maxOut, hub threshold $threshold (lambda=${ShadowNodes.Lambda}, simulated workers=${cfg.numWorkers}), hub edges=$hubEdges
+         |broadcast: shuffle write bytes base=${base.shuffleWriteBytes} bc=${bc.shuffleWriteBytes} (reduction ${pct(bcBytesCut)}); records base=${base.shuffleWriteRecords} bc=${bc.shuffleWriteRecords} (reduction ${pct(bcRecordsCut)})
+         |shadow-nodes: hubs=$hubs mirrors=$mirrors, max out-degree $maxOut -> $maxOutAfterSplit (threshold $threshold)
+         |""".stripMargin
+    }
+  }
+
+  private def cut(before: Long, after: Long): Double = 100.0 * (before - after) / math.max(1L, before)
+
+  def run(spark: SparkSession, cfg: Config = Config()): Result = {
     val model = Models.sage(Seq(16, 16))
 
     // --- partial-gather: in-degree power law ---
     val inSpec = GraphGen.powerLaw(cfg.nNodes, cfg.avgDeg, inSkew = true)
     val inNodes = GraphGen.nodes(spark, inSpec).cache()
     val inEdges = GraphGen.edges(spark, inSpec).cache()
-    inNodes.count(); inEdges.count()
+    inNodes.count(); val inE = inEdges.count()
     val (_, pgOff) = SparkCost.measure(spark, "strat-pg-off") {
       BatchBackend.run(spark, inNodes, inEdges, model, BatchOpts(partialGather = false)).count()
     }
     val (_, pgOn) = SparkCost.measure(spark, "strat-pg-on") {
       BatchBackend.run(spark, inNodes, inEdges, model, BatchOpts(partialGather = true)).count()
     }
-    sb ++= s"partial-gather (in-skew graph, ${cfg.nNodes} nodes, ${inEdges.count()} edges):\n"
-    sb ++= s"  shuffle write records: off=${pgOff.shuffleWriteRecords} on=${pgOn.shuffleWriteRecords} " +
-      s"(reduction ${pct(pgOff.shuffleWriteRecords, pgOn.shuffleWriteRecords)})\n"
-    sb ++= s"  shuffle write bytes:   off=${pgOff.shuffleWriteBytes} on=${pgOn.shuffleWriteBytes} " +
-      s"(reduction ${pct(pgOff.shuffleWriteBytes, pgOn.shuffleWriteBytes)})\n"
     inNodes.unpersist(); inEdges.unpersist()
 
     // --- broadcast + shadow-nodes: out-degree power law (heavier tail) ---
     val outSpec = GraphGen.powerLaw(cfg.nNodes, cfg.avgDeg, inSkew = false, alpha = 1.5)
     val outNodes = GraphGen.nodes(spark, outSpec).cache()
     val outEdges = GraphGen.edges(spark, outSpec).cache()
-    outNodes.count()
-    val totalE = outEdges.count()
+    outNodes.count(); val totalE = outEdges.count()
     val thr = ShadowNodes.threshold(totalE, cfg.numWorkers)
-    val maxOut = outEdges.groupBy("src").count().agg(max("count")).head().getLong(0)
-    val hubEdgeCount = {
-      val hubs = outEdges.groupBy("src").count().filter(col("count") > thr)
-      outEdges.join(hubs.select(col("src").as("h")), outEdges("src") === col("h")).count()
-    }
-    sb ++= s"\nout-skew graph: $totalE edges, max out-degree $maxOut, hub threshold $thr " +
-      s"(lambda=${ShadowNodes.Lambda}, simulated workers=${cfg.numWorkers}), hub edges=$hubEdgeCount\n"
+    val maxOut = ShadowNodes.maxOutDegree(outEdges)
+    val hubs = ShadowNodes.hubs(outEdges, thr)
 
     val noCombiner = BatchOpts(partialGather = false, numWorkers = cfg.numWorkers)
     val (_, base) = SparkCost.measure(spark, "strat-base") {
@@ -76,15 +84,10 @@ object StrategiesHarness {
       BatchBackend.run(spark, outNodes, outEdges, model,
         noCombiner.copy(broadcastHubs = true)).count()
     }
-    sb ++= s"broadcast: shuffle write bytes base=${base.shuffleWriteBytes} bc=${bc.shuffleWriteBytes} " +
-      s"(reduction ${pct(base.shuffleWriteBytes, bc.shuffleWriteBytes)}); " +
-      s"records base=${base.shuffleWriteRecords} bc=${bc.shuffleWriteRecords} " +
-      s"(reduction ${pct(base.shuffleWriteRecords, bc.shuffleWriteRecords)})\n"
 
     val shadowed = ShadowNodes.transform(spark, outNodes, outEdges, thr)
-    sb ++= s"shadow-nodes: hubs=${shadowed.nHubs} mirrors=${shadowed.nMirrors}, " +
-      s"max out-degree $maxOut -> ${shadowed.maxOutAfterSplit} (threshold $thr)\n"
     outNodes.unpersist(); outEdges.unpersist()
-    sb.toString
+    Result(cfg, inE, pgOff, pgOn, totalE, maxOut, thr, hubs.size, hubs.values.sum, base, bc,
+      shadowed.nMirrors, shadowed.maxOutAfterSplit)
   }
 }

@@ -1,6 +1,7 @@
 package repro.metrics
 
 import java.util.concurrent.ConcurrentHashMap
+import org.apache.spark.repro.BusDrain
 import org.apache.spark.scheduler._
 import org.apache.spark.sql.SparkSession
 
@@ -76,7 +77,7 @@ object SparkCost {
   }
 
   /** Run `body` under a job group and return its cost. Listener delivery is
-    * asynchronous, so we allow the bus a short drain window after the body.
+    * asynchronous, so the listener bus is drained after the body.
     */
   def measure[T](spark: SparkSession, tag: String)(body: => T): (T, Cost) = {
     install(spark)
@@ -87,7 +88,7 @@ object SparkCost {
       try body
       finally spark.sparkContext.clearJobGroup()
     val wallMs = (System.nanoTime() - t0) / 1000000L
-    Thread.sleep(400) // let the listener bus drain
+    BusDrain(spark.sparkContext)
     val c = snapshot(unique)
     (result, c.copy(wallMs = wallMs))
   }

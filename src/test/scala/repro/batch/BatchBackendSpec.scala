@@ -38,6 +38,18 @@ class BatchBackendSpec extends SparkSpec {
       BatchBackend.run(spark, fix.nodes, fix.edges, sage2,
         BatchOpts(broadcastHubs = true, numWorkers = 8)),
       fix.local, fix.reference(sage2), tol = 1e-7)
+    // every vertex above has out-degree 4, under the threshold of 10, so an
+    // out-degree power law is needed for the receivers' payload lookup to run
+    val fz = fixture(spark, GraphGen.powerLaw(400, avgDeg = 8, inSkew = false, seed = 67L))
+    val opts = BatchOpts(broadcastHubs = true, numWorkers = 8)
+    assert(ShadowNodes.hubs(fz.edges, ShadowNodes.threshold(fz.edges.count(), opts.numWorkers)).nonEmpty,
+      "power-law fixture has no hubs")
+    val sage = Models.sage(Seq(16, 8, 4))
+    assertMatchesLocal(BatchBackend.run(spark, fz.nodes, fz.edges, sage, opts),
+      fz.local, fz.reference(sage), tol = 1e-7)
+    val gat = Models.gat(Seq(16, 8, 4), heads = 2)
+    assertMatchesLocal(BatchBackend.run(spark, fz.nodes, fz.edges, gat, opts),
+      fz.local, fz.reference(gat), tol = 1e-6)
   }
 
   test("shadow-nodes strategy is exact on an out-degree power-law graph") {

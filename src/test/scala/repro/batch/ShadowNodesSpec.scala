@@ -106,4 +106,31 @@ class ShadowNodesSpec extends SparkSpec {
         s"WHERE CAST(dst AS BIGINT) NOT IN ($hubList) GROUP BY dst",
       "edges" -> edges)
   }
+
+  test("hub map equals DuckDB's out-degree count above the threshold (oracle)") {
+    import spark.implicits._
+    val hubs = ShadowNodes.hubs(edges, 30L)
+    assert(hubs.nonEmpty, "fixture has no hubs — weak test")
+    Oracle.assertEquivalent(
+      hubs.toSeq.toDF("src", "deg"),
+      "SELECT CAST(src AS BIGINT) AS src, COUNT(*) AS deg FROM edges GROUP BY src HAVING COUNT(*) > 30",
+      "edges" -> edges)
+  }
+
+  test("mirror ids past Long.MaxValue fail before the split, naming max id and mirror count") {
+    import spark.implicits._
+    // hub 0 has out-degree 9: at threshold 3 it needs two extra mirrors
+    val edges = (1L to 9L).map(d => (0L, d, 1.0)).toDF("src", "dst", "w")
+    def nodesUpTo(maxId: Long) = ((0L until 10L) :+ maxId).map(id => (id, Array(1.0, id.toDouble))).toDF("id", "feat")
+    val err = intercept[IllegalArgumentException] {
+      ShadowNodes.transform(spark, nodesUpTo(Long.MaxValue - 1), edges, thr = 3L)
+    }
+    assert(err.getMessage.contains(s"max vertex id ${Long.MaxValue - 1}") && err.getMessage.contains("2 mirrors"),
+      err.getMessage)
+    // one id lower, the two mirrors end exactly at Long.MaxValue
+    val s = ShadowNodes.transform(spark, nodesUpTo(Long.MaxValue - 2), edges, thr = 3L)
+    assert(s.nMirrors == 2)
+    assert(s.nodes.select("id").filter(col("id") > Long.MaxValue - 2).as[Long].collect().sorted.toSeq ==
+      Seq(Long.MaxValue - 1, Long.MaxValue))
+  }
 }

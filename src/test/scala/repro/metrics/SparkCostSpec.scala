@@ -1,5 +1,6 @@
 package repro.metrics
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerTaskEnd}
 import repro.SparkSpec
 
 class SparkCostSpec extends SparkSpec {
@@ -24,6 +25,21 @@ class SparkCostSpec extends SparkSpec {
     }
     assert(c2.shuffleWriteBytes >= 0 && c1.shuffleWriteRecords > 0)
     assert(c1.shuffleWriteRecords <= c2.shuffleWriteRecords + 3)
+  }
+
+  test("measure waits for task events held up by a slow listener") {
+    val slow = new SparkListener {
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit = Thread.sleep(150)
+    }
+    spark.sparkContext.addSparkListener(slow)
+    try {
+      val (_, c) = SparkCost.measure(spark, "slow-bus") {
+        spark.range(0, 1000, 1, 8).repartition(4).count()
+      }
+      // the repartition shuffles 1000 rows; each of its 4 partitions then
+      // shuffles one partial count
+      assert(c.shuffleWriteRecords == 1000 + 4)
+    } finally spark.sparkContext.removeSparkListener(slow)
   }
 
   test("cpuSec includes reported driver time") {
