@@ -4,7 +4,7 @@ import org.apache.spark.SparkConf
 import org.apache.spark.graphx.GraphXUtils
 import org.apache.spark.sql.SparkSession
 import repro.batch.RoundBuf
-import repro.core.{EmptyAgg, Pooled, Unioned}
+import repro.core.{EmptyAgg, Pooled, SoftmaxPool, Unioned}
 import repro.harness._
 
 /** Shared session builder for the spark-submit entrypoints, the benchmark
@@ -20,7 +20,7 @@ object JobSession {
   def make(name: String): SparkSession = {
     // registerKryoClasses also selects the KryoSerializer
     val conf = new SparkConf().registerKryoClasses(Array(
-      classOf[Pooled], classOf[Unioned], EmptyAgg.getClass, classOf[Array[Double]], classOf[RoundBuf]))
+      classOf[Pooled], classOf[SoftmaxPool], classOf[Unioned], EmptyAgg.getClass, classOf[Array[Double]], classOf[RoundBuf]))
     GraphXUtils.registerKryoClasses(conf)
     SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))

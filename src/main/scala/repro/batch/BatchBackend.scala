@@ -17,13 +17,19 @@ import repro.core._
   *      info is re-sent every round as in the paper's stateless reduce;
   *   2. map: three kinds of [[RoundIn]] record meet at the receiver — its
   *      own state, each edge message `apply_edge(payload, w)` and each
-  *      reference to a broadcast hub's payload;
+  *      reference to a broadcast hub's payload. For a layer whose
+  *      `apply_edge` reads the receiver (`LayerSig.readsDst`, GAT), the edge
+  *      record carries the raw source payload instead and `apply_edge` runs
+  *      in the reduce, where the receiver's state is;
   *   3. reduce: one [[RoundFold]] folds a receiver's records and runs
   *      `apply_node`. With **partial-gather** it is driven by a grouped
   *      aggregate, which Spark runs map-side first (the paper's combiner);
   *      without it, by `groupByKey` + `mapGroups`, so every record crosses
   *      the shuffle exactly once and nothing combines before the receiver
-  *      (the paper's no-combiner baseline);
+  *      (the paper's no-combiner baseline). A `readsDst` layer always takes
+  *      the second driver: the map side has no receiver score to combine
+  *      with, and shipping it there would cost one more exchange of every
+  *      edge per round;
   *   4. the new node table is persisted to external storage (parquet spill)
   *      before the next round, mirroring the paper's MR dataflow where no
   *      state lives in memory across rounds.
@@ -91,9 +97,10 @@ object BatchBackend {
     val states = cur.as[(Long, Array[Double])]
     val payload = states.map { case (id, h) => (id, layer.scatterPayload(h)) }.toDF("id", "p")
 
+    val readsDst = layer.signature.readsDst
     val msgs = edges.join(payload, edges("src") === payload("id"))
       .select(edges("dst"), payload("p"), edges("w")).as[(Long, Array[Double], Double)]
-      .map { case (dst, p, w) => RoundIn(dst, null, layer.applyEdge(p, w), w, 0L) }
+      .map { case (dst, p, w) => RoundIn(dst, null, if (readsDst) p else layer.applyEdge(p, w), w, 0L) }
     // broadcast strategy: hub out-edges carry only (src, w) and receivers
     // look the payload up, so hub messages never cross the shuffle
     val hubRefs = hubEdges.map(_.as[(Long, Long, Double)]
@@ -103,7 +110,7 @@ object BatchBackend {
 
     val fold = new RoundFold(layer, hubPayloads)
     val reduced =
-      if (opts.partialGather && layer.partialGather)
+      if (opts.partialGather && layer.partialGather && !readsDst)
         records.groupBy("key").agg(udaf(fold, Encoders.product[RoundIn])(records.columns.toSeq.map(col): _*).as("h"))
       else
         records.groupByKey(_.key)
@@ -122,15 +129,17 @@ object BatchBackend {
       case Some(dir) =>
         val path = s"$dir/round_$round"
         df.write.mode("overwrite").parquet(path)
-        spark.read.parquet(path)
+        // the known schema spares a job that would infer it from the files
+        spark.read.schema(df.schema).parquet(path)
       case None =>
         df.localCheckpoint(true)
     }
 }
 
 /** One record of a round's reduce, keyed by the receiving vertex: its own
-  * state (`h`), an edge message (`m`, `w`), or a reference to the payload of
-  * the broadcast hub `src` over an edge of weight `w`.
+  * state (`h`), an edge message (`m`, `w`; the raw source payload for a
+  * `readsDst` layer), or a reference to the payload of the broadcast hub
+  * `src` over an edge of weight `w`.
   */
 final case class RoundIn(key: Long, h: Array[Double], m: Array[Double], w: Double, src: Long)
 
@@ -144,15 +153,24 @@ final case class RoundBuf(key: Long, h: Array[Double], agg: Agg, hubs: List[(Lon
   * run them map-side (the combiner); `finish` resolves the hub references
   * from the broadcast payloads and runs `apply_node`. A new message is merged
   * on the left, so a [[Unioned]] list grows by prepending.
+  *
+  * For a `readsDst` layer the gathered messages are raw source payloads,
+  * kept as a [[Unioned]] list; `finish` computes the receiver's payload and
+  * runs `apply_edge` on each of them and on each hub payload.
   */
 final class RoundFold(layer: GasLayer, hubPayloads: Option[Broadcast[Map[Long, Array[Double]]]])
     extends Aggregator[RoundIn, RoundBuf, Array[Double]] {
+
+  private val readsDst = layer.signature.readsDst
 
   def zero: RoundBuf = RoundBuf(0L, null, EmptyAgg, Nil)
 
   def reduce(b: RoundBuf, r: RoundIn): RoundBuf =
     if (r.h != null) withState(b, r.key, r.h)
-    else if (r.m != null) b.copy(agg = Agg.merge(layer.initAgg(r.m, r.w), b.agg))
+    else if (r.m != null) {
+      val in = if (readsDst) Unioned((r.m, r.w) :: Nil) else layer.initAgg(r.m, r.w)
+      b.copy(agg = Agg.merge(in, b.agg))
+    }
     else b.copy(hubs = (r.src, r.w) :: b.hubs)
 
   def merge(b1: RoundBuf, b2: RoundBuf): RoundBuf = {
@@ -169,10 +187,16 @@ final class RoundFold(layer: GasLayer, hubPayloads: Option[Broadcast[Map[Long, A
   def finish(b: RoundBuf): Array[Double] =
     if (b.h == null) null
     else {
+      val dst = if (readsDst) layer.scatterPayload(b.h) else null
+      def message(p: Array[Double], w: Double): Agg =
+        layer.initAgg(layer.applyEdge(if (readsDst) VecOps.concat(p, dst) else p, w), w)
+      val gathered = b.agg match {
+        case Unioned(raw) if readsDst => raw.foldLeft(EmptyAgg: Agg) { case (acc, (p, w)) => Agg.merge(message(p, w), acc) }
+        case agg                      => agg
+      }
       // a hub with no node row has no payload and sends nothing
-      val agg = b.hubs.foldLeft(b.agg) { case (acc, (src, w)) =>
-        hubPayloads.flatMap(_.value.get(src))
-          .fold(acc)(p => Agg.merge(layer.initAgg(layer.applyEdge(p, w), w), acc))
+      val agg = b.hubs.foldLeft(gathered) { case (acc, (src, w)) =>
+        hubPayloads.flatMap(_.value.get(src)).fold(acc)(p => Agg.merge(message(p, w), acc))
       }
       layer.applyNode(b.h, agg)
     }

@@ -50,15 +50,27 @@ object VecOps {
     var i = 0
     while (i < acc.length) { acc(i) += c * x(i); i += 1 }
   }
+
+  /** `a` followed by `b`. */
+  def concat(a: Array[Double], b: Array[Double]): Array[Double] = {
+    val out = new Array[Double](a.length + b.length)
+    System.arraycopy(a, 0, out, 0, a.length)
+    System.arraycopy(b, 0, out, a.length, b.length)
+    out
+  }
 }
 
 /** Per-layer signature — the paper's annotation mechanism: recorded when a
   * trained model is saved and consulted by the inference backends (e.g. to
   * know whether the combiner may run the aggregate early).
+  *
+  * `readsDst` says that `apply_edge` reads the receiver's payload as well as
+  * the sender's: backends then call `applyEdge(srcPayload ++ dstPayload, w)`.
   */
 final case class LayerSig(kind: String, inDim: Int, outDim: Int,
                           partialGather: Boolean, activation: String,
-                          heads: Int = 1, combine: String = "concat")
+                          heads: Int = 1, combine: String = "concat",
+                          readsDst: Boolean = false)
 
 /** One GNN layer in the InferTurbo GAS-like abstraction.
   *
@@ -72,7 +84,10 @@ final case class LayerSig(kind: String, inDim: Int, outDim: Int,
   *  - `apply_node` is [[applyNode]];
   *  - `apply_edge` is [[applyEdge]], fed by [[scatterPayload]] which is the
   *    per-vertex part of the out-message, computed once per vertex (the
-  *    hook the broadcast strategy compresses).
+  *    hook the broadcast strategy compresses). When [[LayerSig.readsDst]]
+  *    is set it is fed the sender's payload followed by the receiver's
+  *    (GAT scores each edge against the receiver's attention term, which is
+  *    what makes its reduce associative).
   */
 trait GasLayer extends Serializable {
   def inDim: Int
@@ -86,17 +101,20 @@ trait GasLayer extends Serializable {
     */
   def scatterPayload(h: Array[Double]): Array[Double]
 
-  /** Edge-wise message from the payload and the edge weight. */
+  /** Edge-wise message from the payload and the edge weight. The payload is
+    * `srcPayload ++ dstPayload` when `signature.readsDst`, else `srcPayload`.
+    */
   def applyEdge(payload: Array[Double], w: Double): Array[Double]
 
-  /** Lift one message into the aggregate state ([[Pooled]] when
-    * partial-gatherable, [[Unioned]] otherwise).
+  /** Lift one message into the aggregate state (a mergeable [[Pooled]] or
+    * [[SoftmaxPool]] when partial-gatherable, [[Unioned]] otherwise).
     */
   def initAgg(msg: Array[Double], w: Double): Agg
 
   /** Update the vertex state from its previous state and the gathered
-    * aggregate. Must accept [[Unioned]] even for associative layers (that is
-    * the partial-gather-disabled path) and [[EmptyAgg]] for isolated nodes.
+    * aggregate. Must accept a [[Unioned]] list of `applyEdge` messages even
+    * for associative layers (that is the partial-gather-disabled path) and
+    * [[EmptyAgg]] for isolated nodes.
     */
   def applyNode(h: Array[Double], agg: Agg): Array[Double]
 

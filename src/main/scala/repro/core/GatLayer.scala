@@ -4,16 +4,19 @@ import repro.nn.DMat
 
 /** Multi-head GAT convolution in the GAS abstraction (inference form).
   *
-  * Attention breaks the commutative/associative rule, so the signature
-  * carries `partialGather = false`: `aggregate` merely *unions* the
-  * in-messages and the real reduce (softmax attention + weighted sum) runs
-  * in `apply_node` — exactly the paper's Fig. 3 `@Gather(partial=False)`
-  * GATConv.
+  * The out-message payload per head is `[W_h·h, a_src·W_h·h]`. The signature
+  * sets `readsDst`, so `apply_edge` also sees the receiver's payload and
+  * emits, per head, `[W_h·h_u, ℓ, 1]` with the edge's attention logit
+  * `ℓ = lrelu(a_src·W_h·h_u + a_dst·W_h·h_v)`: a one-message state of the
+  * online-softmax normaliser [[SoftmaxPool]]. With the logit fixed at the
+  * edge, the attention-weighted sum is that exact mergeable monoid, so the
+  * signature carries `partialGather = true` and backends may combine GAT
+  * messages sender-side. This goes beyond the paper, whose Fig. 3 GATConv
+  * is `@Gather(partial=False)` and reduces a union of messages in
+  * `apply_node`.
   *
-  * The out-message payload per head is `[W_h·h, a_src·W_h·h]` so the
-  * receiver can score each in-message against its own `a_dst·W_h·h` without
-  * a second round trip. A self-message is appended in `apply_node`
-  * (equivalent to the standard GAT self-loop).
+  * `apply_node` merges in a self-message (the standard GAT self-loop) and
+  * divides each head's weighted sum by its normaliser.
   */
 final case class GatLayer(w: Array[DMat], aSrc: Array[Array[Double]], aDst: Array[Array[Double]],
                           act: Act, combine: String, leakyAlpha: Double = 0.2) extends GasLayer {
@@ -25,7 +28,7 @@ final case class GatLayer(w: Array[DMat], aSrc: Array[Array[Double]], aDst: Arra
 
   def inDim: Int = w(0).rows
   def outDim: Int = if (combine == "concat") heads * outPerHead else outPerHead
-  def partialGather: Boolean = false
+  def partialGather: Boolean = true
 
   /** Per-head slot width inside the payload: Wh (outPerHead) + src score (1). */
   private val slot = outPerHead + 1
@@ -42,55 +45,49 @@ final case class GatLayer(w: Array[DMat], aSrc: Array[Array[Double]], aDst: Arra
     out
   }
 
-  def applyEdge(payload: Array[Double], w: Double): Array[Double] = payload
+  /** `payload` is the sender's payload followed by the receiver's; the
+    * message is, per head, the sender's `Wh`, the logit and a count of 1.
+    * GAT ignores edge weights.
+    */
+  def applyEdge(payload: Array[Double], w: Double): Array[Double] = {
+    val n = heads * slot
+    require(payload.length == 2 * n, s"GAT applyEdge wants src ++ dst payloads (${2 * n}), got ${payload.length}")
+    val out = new Array[Double](heads * (slot + 1))
+    var k = 0
+    while (k < heads) {
+      val off = k * slot
+      val a = aDst(k)
+      var sDst = 0.0
+      var j = 0
+      while (j < outPerHead) { sDst += payload(n + off + j) * a(j); j += 1 }
+      val o = k * (slot + 1)
+      System.arraycopy(payload, off, out, o, outPerHead)
+      out(o + outPerHead) = lrelu(payload(off + outPerHead) + sDst)
+      out(o + outPerHead + 1) = 1.0
+      k += 1
+    }
+    out
+  }
 
-  def initAgg(msg: Array[Double], w: Double): Agg = Unioned((msg, w) :: Nil)
+  /** A message is a one-message normaliser already. */
+  def initAgg(msg: Array[Double], w: Double): Agg = SoftmaxPool(heads, msg)
 
   private def lrelu(x: Double): Double = if (x > 0) x else leakyAlpha * x
 
   def applyNode(h: Array[Double], agg: Agg): Array[Double] = {
-    val inMsgs: List[Array[Double]] = agg match {
-      case Unioned(ms) => ms.map(_._1)
-      case EmptyAgg    => Nil
-      case other       => throw new IllegalStateException(s"GAT cannot consume ${other.getClass.getSimpleName}")
+    val gathered = agg match {
+      case p: SoftmaxPool => p
+      case Unioned(ms)    => ms.foldLeft(EmptyAgg: Agg) { case (acc, (m, mw)) => Agg.merge(initAgg(m, mw), acc) }
+      case EmptyAgg       => EmptyAgg
+      case other          => throw new IllegalStateException(s"GAT cannot consume ${other.getClass.getSimpleName}")
     }
     val selfPayload = scatterPayload(h)
-    val all = selfPayload :: inMsgs
-    val m = all.length
-    val perHead = Array.ofDim[Double](heads, outPerHead)
-    var k = 0
-    while (k < heads) {
-      // own transformed state for this head sits in the self payload
-      val whSelf = new Array[Double](outPerHead)
-      System.arraycopy(selfPayload, k * slot, whSelf, 0, outPerHead)
-      val sDst = VecOps.dot(whSelf, aDst(k))
-      // softmax over logits lrelu(sSrc_msg + sDst)
-      val logits = new Array[Double](m)
-      var i = 0
-      all.foreach { p => logits(i) = lrelu(p(k * slot + outPerHead) + sDst); i += 1 }
-      var mx = Double.NegativeInfinity
-      i = 0
-      while (i < m) { if (logits(i) > mx) mx = logits(i); i += 1 }
-      var den = 0.0
-      i = 0
-      while (i < m) { logits(i) = math.exp(logits(i) - mx); den += logits(i); i += 1 }
-      val acc = perHead(k)
-      i = 0
-      all.foreach { p =>
-        val alpha = logits(i) / den
-        var j = 0
-        while (j < outPerHead) { acc(j) += alpha * p(k * slot + j); j += 1 }
-        i += 1
-      }
-      k += 1
-    }
+    val self = initAgg(applyEdge(VecOps.concat(selfPayload, selfPayload), 1.0), 1.0)
+    val all = Agg.merge(self, gathered).asInstanceOf[SoftmaxPool].s
+    val perHead = Array.tabulate(heads, outPerHead)((k, j) => all(k * (slot + 1) + j) / all(k * (slot + 1) + slot))
     val combined =
-      if (combine == "concat") {
-        val out = new Array[Double](heads * outPerHead)
-        var kk = 0
-        while (kk < heads) { System.arraycopy(perHead(kk), 0, out, kk * outPerHead, outPerHead); kk += 1 }
-        out
-      } else {
+      if (combine == "concat") perHead.flatten
+      else {
         val out = new Array[Double](outPerHead)
         var kk = 0
         while (kk < heads) { VecOps.addInto(out, perHead(kk), 1.0 / heads); kk += 1 }
@@ -99,5 +96,5 @@ final case class GatLayer(w: Array[DMat], aSrc: Array[Array[Double]], aDst: Arra
     act(combined)
   }
 
-  def signature: LayerSig = LayerSig("gat", inDim, outDim, partialGather, act.name, heads, combine)
+  def signature: LayerSig = LayerSig("gat", inDim, outDim, partialGather, act.name, heads, combine, readsDst = true)
 }

@@ -68,11 +68,13 @@ object LocalInference {
     val payload = new Array[Array[Double]](g.n)
     var i = 0
     while (i < g.n) { payload(i) = layer.scatterPayload(h(i)); i += 1 }
+    val readsDst = layer.signature.readsDst
     val aggs = new Array[Agg](g.n)
     java.util.Arrays.fill(aggs.asInstanceOf[Array[AnyRef]], EmptyAgg)
     var e = 0
     while (e < g.nEdges) {
-      val m = layer.applyEdge(payload(g.src(e)), g.w(e))
+      val p = payload(g.src(e))
+      val m = layer.applyEdge(if (readsDst) VecOps.concat(p, payload(g.dst(e))) else p, g.w(e))
       aggs(g.dst(e)) = Agg.merge(aggs(g.dst(e)), layer.initAgg(m, g.w(e)))
       e += 1
     }

@@ -11,6 +11,11 @@ import repro.nn.DMat
   * the inference deployment needs no manual configuration. This is a plain
   * text serialization: one `layer` header line carrying the [[LayerSig]],
   * followed by named weight matrices.
+  *
+  * The header's `partial` and `readsDst` annotations are written from the
+  * layer's signature. Loading rebuilds each layer from its kind and weights,
+  * so the annotations follow the code: a GAT file written as `partial=false`
+  * (before GAT's aggregate became associative) loads as today's GAT.
   */
 object ModelIO {
 
@@ -19,12 +24,12 @@ object ModelIO {
     try {
       w.write(s"model multiLabel=${model.multiLabel} layers=${model.layers.size}\n")
       model.layers.foreach {
-        case SageLayer(ws, wn, b, act) =>
-          w.write(s"layer kind=sage in=${ws.rows} out=${ws.cols} partial=true act=${act.name}\n")
+        case l @ SageLayer(ws, wn, b, act) =>
+          w.write(s"layer kind=sage in=${ws.rows} out=${ws.cols} ${annotations(l)} act=${act.name}\n")
           writeMat(w, "wSelf", ws); writeMat(w, "wNbr", wn); writeMat(w, "bias", b)
         case g @ GatLayer(wm, aSrc, aDst, act, combine, alpha) =>
           w.write(s"layer kind=gat in=${g.inDim} outPerHead=${g.outPerHead} heads=${g.heads} " +
-            s"partial=false act=${act.name} combine=$combine alpha=$alpha\n")
+            s"${annotations(g)} act=${act.name} combine=$combine alpha=$alpha\n")
           wm.indices.foreach { k =>
             writeMat(w, s"w$k", wm(k))
             writeMat(w, s"aSrc$k", DMat.rowVec(aSrc(k)))
@@ -33,6 +38,11 @@ object ModelIO {
         case other => throw new IllegalArgumentException(s"cannot serialize ${other.getClass}")
       }
     } finally w.close()
+  }
+
+  private def annotations(l: GasLayer): String = {
+    val sig = l.signature
+    s"partial=${sig.partialGather} readsDst=${sig.readsDst}"
   }
 
   private def writeMat(w: BufferedWriter, name: String, m: DMat): Unit = {

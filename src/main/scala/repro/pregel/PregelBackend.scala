@@ -1,6 +1,8 @@
 package repro.pregel
 
-import org.apache.spark.graphx.{Edge, Graph, TripletFields, VertexId, VertexRDD}
+import scala.collection.mutable
+import org.apache.spark.HashPartitioner
+import org.apache.spark.graphx.{Edge, Graph, TripletFields, VertexRDD}
 import org.apache.spark.graphx.impl.GraphImpl
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
@@ -11,13 +13,16 @@ import repro.core._
   * and each edge partition holds out-edges plus replicas of the vertices
   * they touch. One GNN layer is one superstep, run as one Spark job:
   *  - every vertex computes its out-message content `scatterPayload(h)` once;
-  *  - the send function reads only the source side (`TripletFields.Src`),
-  *    so GraphX ships each payload once per edge partition that holds one
-  *    of its out-edges, and never ships the receiver's state; only
-  *    `apply_edge` runs per edge;
+  *  - GraphX ships each payload once per edge partition that holds one of
+  *    its edges, and only `apply_edge` runs per edge. The send function
+  *    reads the source side alone (`TripletFields.Src`), unless the layer's
+  *    signature says `readsDst` (GAT): then it reads both ends
+  *    (`TripletFields.All`) and `apply_edge` sees `srcPayload ++ dstPayload`;
   *  - the combiner (`mergeMsg`) implements the paper's partial-gather: for
-  *    associative layers messages are reduced as they are merged; for GAT
-  *    they are unioned and reduced in `apply_node`;
+  *    partial-gatherable layers (SAGE's weighted sum, GAT's online softmax)
+  *    messages are reduced as they are merged, so each edge partition sends
+  *    one fixed-size state per receiver; without it they are unioned and
+  *    reduced in `apply_node`;
   *  - `apply_node` joins the gathered messages back onto `h`. Vertices that
   *    received nothing get [[EmptyAgg]], so every vertex advances every
   *    layer (the paper's systems always run k supersteps over all vertices).
@@ -25,6 +30,9 @@ import repro.core._
   * Each layer pairs its payloads with the one partitioned edge set and the
   * vertices' routing tables (`GraphImpl.fromExistingRDDs`), so no layer
   * re-partitions, copies the edges or diffs old against new vertices.
+  *
+  * A vertex id that appears twice in the node table fails the run with an
+  * `IllegalArgumentException` naming the id.
   */
 object PregelBackend {
 
@@ -36,8 +44,16 @@ object PregelBackend {
   /** Full-graph inference; returns DataFrame(id LONG, h ARRAY&lt;DOUBLE&gt;). */
   def run(spark: SparkSession, nodes: DataFrame, edges: DataFrame, model: GnnModel,
           opts: PregelOpts = PregelOpts()): DataFrame = {
-    val verts = nodes.select("id", "feat").rdd
+    val rows = nodes.select("id", "feat").rdd
       .map(r => (r.getLong(0), r.getSeq[Double](1).toArray))
+    // the partitioning Graph() would otherwise apply itself; it puts every
+    // row of an id in one partition, so duplicates are caught while the
+    // vertex partitions are built, with no extra job or shuffle
+    val verts = rows.partitionBy(new HashPartitioner(rows.partitions.length))
+      .mapPartitions({ it =>
+        val seen = mutable.HashSet.empty[Long]
+        it.map { row => require(seen.add(row._1), s"duplicate vertex id ${row._1} in the node table"); row }
+      }, preservesPartitioning = true)
     val edgeRdd = edges.select("src", "dst", "w").rdd
       .map(r => Edge(r.getLong(0), r.getLong(1), r.getDouble(2)))
 
@@ -45,16 +61,18 @@ object PregelBackend {
     var h: VertexRDD[Array[Double]] = graph.vertices
     model.layers.foreach { layer =>
       val pg = opts.partialGather && layer.partialGather
+      val readsDst = layer.signature.readsDst
       // aggregateMessages caches the payloads, so each is computed once
       val payload = h.mapValues(layer.scatterPayload(_))
       val msgs = GraphImpl.fromExistingRDDs(payload, graph.edges).aggregateMessages[Agg](
         ctx => {
-          val m = layer.applyEdge(ctx.srcAttr, ctx.attr)
+          val p = if (readsDst) VecOps.concat(ctx.srcAttr, ctx.dstAttr) else ctx.srcAttr
+          val m = layer.applyEdge(p, ctx.attr)
           ctx.sendToDst(if (pg) layer.initAgg(m, ctx.attr) else Unioned(List((m, ctx.attr))))
         },
         // GraphX passes (accumulated, new): the new message goes on the left
         // so a Unioned list grows by prepending
-        (acc, m) => Agg.merge(m, acc), TripletFields.Src)
+        (acc, m) => Agg.merge(m, acc), if (readsDst) TripletFields.All else TripletFields.Src)
       val next = h.leftJoin(msgs)((_, x, agg) => layer.applyNode(x, agg.getOrElse(EmptyAgg))).cache()
       next.count()
       payload.unpersist(blocking = false)

@@ -16,7 +16,7 @@ class ModelsSpec extends AnyFunSuite {
     assert(m.hops == 2 && m.outDim == 4)
     val sigs = m.signatures
     assert(sigs.head.combine == "concat" && sigs.last.combine == "mean")
-    assert(sigs.forall(!_.partialGather))
+    assert(sigs.forall(s => s.partialGather && s.readsDst))
   }
 
   test("gat factory rejects indivisible hidden dims") {

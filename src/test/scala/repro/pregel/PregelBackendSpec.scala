@@ -4,6 +4,7 @@ import repro.SparkSpec
 import repro.BackendTestUtil.{assertMatchesLocal, fixture}
 import repro.core.Models
 import repro.graphgen.GraphSpec
+import repro.metrics.SparkCost
 import repro.pregel.PregelBackend.PregelOpts
 
 class PregelBackendSpec extends SparkSpec {
@@ -27,6 +28,30 @@ class PregelBackendSpec extends SparkSpec {
     assertMatchesLocal(
       PregelBackend.run(spark, fix.nodes, fix.edges, sage2, PregelOpts(partialGather = false)),
       fix.local, fix.reference(sage2))
+  }
+
+  test("partial-gather off (attention messages travel unioned) is exact for GAT") {
+    assertMatchesLocal(
+      PregelBackend.run(spark, fix.nodes, fix.edges, gat2, PregelOpts(partialGather = false)),
+      fix.local, fix.reference(gat2))
+  }
+
+  test("partial-gather combines GAT messages: fewer shuffle bytes than with it off") {
+    def bytes(pg: Boolean): Long = SparkCost.measure(spark, s"pregel-gat-pg-$pg") {
+      PregelBackend.run(spark, fix.nodes, fix.edges, gat2, PregelOpts(partialGather = pg)).collect()
+    }._2.shuffleWriteBytes
+    val (on, off) = (bytes(true), bytes(false))
+    assert(on < off, s"partial-gather on wrote $on bytes, off wrote $off")
+  }
+
+  test("a duplicate vertex id fails the run with an error naming it") {
+    val nodes = fix.nodes.union(fix.nodes.filter("id = 17"))
+    val err = intercept[Exception] {
+      PregelBackend.run(spark, nodes, fix.edges, sage2).collect()
+    }
+    val causes = Iterator.iterate[Throwable](err)(_.getCause).takeWhile(_ != null).toSeq
+    assert(causes.exists(c => c.isInstanceOf[IllegalArgumentException] &&
+      c.getMessage.contains("duplicate vertex id 17")), s"$err")
   }
 
   test("1-layer and 3-layer model depths both work") {
@@ -53,8 +78,8 @@ class PregelBackendSpec extends SparkSpec {
 
   test("power-law in-degree graph (hub receivers) stays exact") {
     val fz = fixture(spark, repro.graphgen.GraphGen.powerLaw(500, avgDeg = 6, inSkew = true, seed = 66L))
-    // GAT ships every in-message: the hubs' Unioned lists run to hundreds
-    // of entries through the shuffle
+    // each edge partition combines a hub's hundreds of in-messages into one
+    // state per receiver (SAGE's weighted sum, GAT's online softmax)
     Seq(Models.sage(Seq(16, 8, 4)), Models.gat(Seq(16, 8, 4), heads = 2)).foreach { m =>
       assertMatchesLocal(PregelBackend.run(spark, fz.nodes, fz.edges, m), fz.local, fz.reference(m), tol = 1e-7)
     }
