@@ -10,14 +10,18 @@ import repro.core._
 /** InferTurbo on a batch-processing system (the paper's MapReduce/Spark
   * backend), expressed with the DataFrame API.
   *
-  * One GNN layer is one round, and a round is one reduce keyed by the
-  * receiving vertex:
-  *   1. scatter: each vertex computes its payload once (`scatter_nbrs`
-  *      content), and the edge table joins the payloads, so the out-edge
-  *      info is re-sent every round as in the paper's stateless reduce;
-  *   2. map: three kinds of [[RoundIn]] record meet at the receiver — its
-  *      own state, each edge message `apply_edge(payload, w)` and each
-  *      reference to a broadcast hub's payload. For a layer whose
+  * The out-edge lists, one row `(src, dsts, ws)` per source, are built once
+  * per run. One GNN layer is then one round of two keyed exchanges:
+  *   1. scatter: a vertex's state row and its out-edge list row meet in one
+  *      group keyed by the sending vertex (a reduce-side join: in the
+  *      paper's MR dataflow a vertex's out-edges travel with its record).
+  *      Edges cross a round's shuffles only inside their source's list row,
+  *      never as rows of their own;
+  *   2. map: that group computes the vertex's payload once (`scatter_nbrs`
+  *      content) and emits the vertex's own state and one edge message
+  *      `apply_edge(payload, w)` per out-edge. With each reference to a
+  *      broadcast hub's payload these are the three kinds of [[RoundIn]]
+  *      record that meet at the receiver. For a layer whose
   *      `apply_edge` reads the receiver (`LayerSig.readsDst`, GAT), the edge
   *      record carries the raw source payload instead and `apply_edge` runs
   *      in the reduce, where the receiver's state is;
@@ -39,9 +43,9 @@ import repro.core._
   *  - `broadcastHubs`: the paper's broadcast strategy — payloads of the
   *    [[ShadowNodes.hubs]] are shipped once per worker via a Spark broadcast
   *    variable, destroyed when the round is materialized; hub out-edges, split
-  *    from the rest once, carry only the source id, and receivers look the
-  *    payload up (the paper's identifier/lookup mechanism), so hub messages
-  *    never cross the shuffle;
+  *    from the rest once and left out of the out-edge lists, carry only the
+  *    source id, and receivers look the payload up (the paper's
+  *    identifier/lookup mechanism), so hub messages never cross the shuffle;
   *  - `shadowNodes`: the [[ShadowNodes]] mirror split, applied as
   *    preprocessing and undone on output.
   *
@@ -68,21 +72,31 @@ object BatchBackend {
       else (nodes, edges)
     val hubs: Set[Long] = if (opts.broadcastHubs) ShadowNodes.hubs(e0, thr).keySet else Set.empty
 
-    val eCached = e0.select("src", "dst", "w").cache()
+    val e = e0.select("src", "dst", "w")
+    // every round reads the hub edges, so with hubs the edge table is cached
+    val eCached = if (hubs.isEmpty) None else Some(e.cache())
     val isHub = col("src").isInCollection(hubs)
-    val (restEdges, hubEdges) =
-      if (hubs.isEmpty) (eCached, None) else (eCached.filter(!isHub), Some(eCached.filter(isHub)))
+    val restEdges = eCached.fold(e)(_.filter(!isHub))
+    val hubEdges = eCached.map(_.filter(isHub))
+    // each non-hub source's out-edges as one row, built once for all rounds
+    // and combined map-side; see [[OutEdges]] for why not `collect_list`
+    val outLists = restEdges.as[(Long, Long, Double)].rdd
+      .map { case (src, dst, w) => (src, (dst, w)) }
+      .combineByKey(new OutEdges().add(_), (o: OutEdges, dw: (Long, Double)) => o.add(dw), (a: OutEdges, b: OutEdges) => a.addAll(b))
+      .map { case (src, o) => (src, o.dsts.take(o.n), o.ws.take(o.n)) }
+      .toDF("src", "dsts", "ws").cache()
     var cur = n0.select(col("id"), col("feat").as("h"))
     model.layers.zipWithIndex.foreach { case (layer, round) =>
       // the hubs' payloads alone (a hub with no node row has none)
       val hubPayloads = hubEdges.map(_ => spark.sparkContext.broadcast(
         cur.filter(col("id").isInCollection(hubs)).as[(Long, Array[Double])]
           .map { case (id, h) => (id, layer.scatterPayload(h)) }.collect().toMap))
-      cur = materialize(spark, runRound(spark, cur, restEdges, hubEdges, hubPayloads, layer, opts), opts, round)
+      cur = materialize(spark, runRound(spark, cur, outLists, hubEdges, hubPayloads, layer, opts), opts, round)
       hubPayloads.foreach(_.destroy())
     }
     // the last round's table is spilled or checkpointed, so no cache is needed
-    eCached.unpersist()
+    outLists.unpersist()
+    eCached.foreach(_.unpersist())
     // drop shadow mirrors: only ids present in the original node table
     val result =
       if (opts.shadowNodes) cur.join(nodes.select("id"), Seq("id"))
@@ -90,23 +104,35 @@ object BatchBackend {
     result.select("id", "h")
   }
 
-  private def runRound(spark: SparkSession, cur: DataFrame, edges: DataFrame, hubEdges: Option[DataFrame],
+  private def runRound(spark: SparkSession, cur: DataFrame, outLists: DataFrame, hubEdges: Option[DataFrame],
                        hubPayloads: Option[Broadcast[Map[Long, Array[Double]]]], layer: GasLayer,
                        opts: BatchOpts): DataFrame = {
     import spark.implicits._
-    val states = cur.as[(Long, Array[Double])]
-    val payload = states.map { case (id, h) => (id, layer.scatterPayload(h)) }.toDF("id", "p")
-
     val readsDst = layer.signature.readsDst
-    val msgs = edges.join(payload, edges("src") === payload("id"))
-      .select(edges("dst"), payload("p"), edges("w")).as[(Long, Array[Double], Double)]
-      .map { case (dst, p, w) => RoundIn(dst, null, if (readsDst) p else layer.applyEdge(p, w), w, 0L) }
+    // a reduce-side join, as in MapReduce: a vertex's state row and its
+    // out-edge list row (at most one; none if it sends nothing) meet in one
+    // group, so each task sorts once where a sort-merge join sorts both sides
+    // and holds two sort pages; a list whose source has no node row meets no
+    // state and is dropped
+    val rows = cur.select(col("id"), col("h"), lit(null).cast("array<bigint>"), lit(null).cast("array<double>"))
+      .union(outLists.select(col("src"), lit(null).cast("array<double>"), col("dsts"), col("ws")))
+    val sent = rows.groupBy("id").as[Long, (Long, Array[Double], Array[Long], Array[Double])]
+      .flatMapGroups { (id, group) =>
+        val (states, lists) = group.toList.partition(_._2 != null)
+        states.iterator.flatMap { case (_, h, _, _) =>
+          val msgs = lists.iterator.flatMap { case (_, _, dsts, ws) =>
+            val p = layer.scatterPayload(h)
+            dsts.indices.iterator.map(i =>
+              RoundIn(dsts(i), null, if (readsDst) p else layer.applyEdge(p, ws(i)), ws(i), 0L))
+          }
+          Iterator.single(RoundIn(id, h, null, 0.0, 0L)) ++ msgs
+        }
+      }
     // broadcast strategy: hub out-edges carry only (src, w) and receivers
     // look the payload up, so hub messages never cross the shuffle
     val hubRefs = hubEdges.map(_.as[(Long, Long, Double)]
       .map { case (src, dst, w) => RoundIn(dst, null, null, w, src) })
-    val own = states.map { case (id, h) => RoundIn(id, h, null, 0.0, 0L) }
-    val records = hubRefs.foldLeft(own.union(msgs))(_ union _)
+    val records = hubRefs.foldLeft(sent)(_ union _)
 
     val fold = new RoundFold(layer, hubPayloads)
     val reduced =
@@ -134,6 +160,37 @@ object BatchBackend {
       case None =>
         df.localCheckpoint(true)
     }
+}
+
+/** One source's out-edges while the out-edge lists are built: `n` entries
+  * of two arrays grown in place, so a long list is never copied per edge.
+  * The lists are built with `combineByKey` and not with `collect_list`:
+  * Spark's object hash aggregate falls back to sorting past 128 keys per
+  * task and then holds two sort pages per task at once (16 MB each with a
+  * 3 GB heap on 4 cores). The on-heap allocator keeps freed pages in a pool
+  * held by weak references, which G1's young collections do not clear, so
+  * that one burst kept twelve pages (192 MB) in the heap for the JVM's life.
+  */
+final class OutEdges extends Serializable {
+  var n = 0
+  var dsts = Array.emptyLongArray
+  var ws = Array.emptyDoubleArray
+
+  def add(dw: (Long, Double)): OutEdges = {
+    if (n == dsts.length) {
+      dsts = java.util.Arrays.copyOf(dsts, math.max(4, 2 * n))
+      ws = java.util.Arrays.copyOf(ws, math.max(4, 2 * n))
+    }
+    dsts(n) = dw._1
+    ws(n) = dw._2
+    n += 1
+    this
+  }
+
+  def addAll(o: OutEdges): OutEdges = {
+    (0 until o.n).foreach(i => add((o.dsts(i), o.ws(i))))
+    this
+  }
 }
 
 /** One record of a round's reduce, keyed by the receiving vertex: its own

@@ -103,6 +103,8 @@ trait GasLayer extends Serializable {
 
   /** Edge-wise message from the payload and the edge weight. The payload is
     * `srcPayload ++ dstPayload` when `signature.readsDst`, else `srcPayload`.
+    * A `readsDst` layer must not retain its payload argument (nor return it):
+    * callers may refill one buffer for every edge.
     */
   def applyEdge(payload: Array[Double], w: Double): Array[Double]
 

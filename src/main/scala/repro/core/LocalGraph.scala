@@ -69,12 +69,20 @@ object LocalInference {
     var i = 0
     while (i < g.n) { payload(i) = layer.scatterPayload(h(i)); i += 1 }
     val readsDst = layer.signature.readsDst
+    // a readsDst layer gets srcPayload ++ dstPayload in one buffer, refilled
+    // for every edge (applyEdge does not keep its payload)
+    val width = if (g.n == 0) 0 else payload(0).length
+    val both = new Array[Double](if (readsDst) 2 * width else 0)
     val aggs = new Array[Agg](g.n)
     java.util.Arrays.fill(aggs.asInstanceOf[Array[AnyRef]], EmptyAgg)
     var e = 0
     while (e < g.nEdges) {
       val p = payload(g.src(e))
-      val m = layer.applyEdge(if (readsDst) VecOps.concat(p, payload(g.dst(e))) else p, g.w(e))
+      if (readsDst) {
+        System.arraycopy(p, 0, both, 0, width)
+        System.arraycopy(payload(g.dst(e)), 0, both, width, width)
+      }
+      val m = layer.applyEdge(if (readsDst) both else p, g.w(e))
       aggs(g.dst(e)) = Agg.merge(aggs(g.dst(e)), layer.initAgg(m, g.w(e)))
       e += 1
     }
