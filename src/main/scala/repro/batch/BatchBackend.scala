@@ -1,8 +1,7 @@
 package repro.batch
 
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{DataFrame, Encoder, Encoders, SparkSession}
-import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders, SparkSession}
 import org.apache.spark.sql.expressions.Aggregator
 import org.apache.spark.sql.functions._
 import repro.core._
@@ -10,33 +9,39 @@ import repro.core._
 /** InferTurbo on a batch-processing system (the paper's MapReduce/Spark
   * backend), expressed with the DataFrame API.
   *
-  * The out-edge lists, one row `(src, dsts, ws)` per source, are built once
-  * per run. One GNN layer is then one round of two keyed exchanges:
-  *   1. scatter: a vertex's state row and its out-edge list row meet in one
-  *      group keyed by the sending vertex (a reduce-side join: in the
-  *      paper's MR dataflow a vertex's out-edges travel with its record).
-  *      Edges cross a round's shuffles only inside their source's list row,
-  *      never as rows of their own;
-  *   2. map: that group computes the vertex's payload once (`scatter_nbrs`
-  *      content) and emits the vertex's own state and one edge message
-  *      `apply_edge(payload, w)` per out-edge. With each reference to a
-  *      broadcast hub's payload these are the three kinds of [[RoundIn]]
-  *      record that meet at the receiver. For a layer whose
-  *      `apply_edge` reads the receiver (`LayerSig.readsDst`, GAT), the edge
-  *      record carries the raw source payload instead and `apply_edge` runs
-  *      in the reduce, where the receiver's state is;
-  *   3. reduce: one [[RoundFold]] folds a receiver's records and runs
-  *      `apply_node`. With **partial-gather** it is driven by a grouped
-  *      aggregate, which Spark runs map-side first (the paper's combiner);
-  *      without it, by `groupByKey` + `mapGroups`, so every record crosses
-  *      the shuffle exactly once and nothing combines before the receiver
-  *      (the paper's no-combiner baseline). A `readsDst` layer always takes
-  *      the second driver: the map side has no receiver score to combine
-  *      with, and shipping it there would cost one more exchange of every
-  *      edge per round;
-  *   4. the new node table is persisted to external storage (parquet spill)
-  *      before the next round, mirroring the paper's MR dataflow where no
-  *      state lives in memory across rounds.
+  * A round reads and writes vertex records `(id, h, dsts, ws)`: a vertex's
+  * state together with its out-edge list, the classic MapReduce graph
+  * pattern in which the graph structure is passed along from mapper to
+  * reducer on every iteration. One GNN layer is one round:
+  *   1. join (round 0 only): the out-edge lists, one row `(src, dsts, ws)`
+  *      per source built with a map-side `combineByKey`, meet the node
+  *      table in one group per vertex (a reduce-side join). This is the
+  *      only exchange in which edges travel apart from their source's
+  *      record, and it runs once per run;
+  *   2. map (`scatter_nbrs`): a plain `flatMap` over the vertex records
+  *      computes each vertex's payload once and emits the vertex's own
+  *      record, list included, and one edge message `apply_edge(payload, w)`
+  *      per out-edge. With each reference to a broadcast hub's payload these
+  *      are the three kinds of [[RoundIn]] record that meet at the receiver.
+  *      For a layer whose `apply_edge` reads the receiver
+  *      (`LayerSig.readsDst`, GAT), the edge record carries the raw source
+  *      payload instead and `apply_edge` runs in the reduce, where the
+  *      receiver's state is;
+  *   3. reduce: one [[RoundFold]] folds a receiver's records, runs
+  *      `apply_node` and hands the list on with the new state. With
+  *      **partial-gather** it is driven by a grouped aggregate, which Spark
+  *      runs map-side first (the paper's combiner); without it, by
+  *      `groupByKey` + `mapGroups`, so every record crosses the shuffle
+  *      exactly once and nothing combines before the receiver (the paper's
+  *      no-combiner baseline). A `readsDst` layer always takes the second
+  *      driver: the map side has no receiver score to combine with, and
+  *      shipping it there would cost one more exchange of every edge per
+  *      round;
+  *   4. the new vertex records are persisted to external storage (parquet
+  *      spill) before the next round, mirroring the paper's MR dataflow
+  *      where no state lives in memory across rounds. The last round's
+  *      records drop their lists, so the last spill and the output hold
+  *      only `(id, h)`.
   *
   * Strategies:
   *  - `partialGather`: combiner on/off (exact either way);
@@ -62,6 +67,11 @@ object BatchBackend {
       numWorkers: Int = 64,
       spillDir: Option[String] = None)
 
+  /** A vertex record: state `h` and out-edge list (`dsts`, `ws`; both null
+    * for a vertex without non-hub out-edges).
+    */
+  private type VertexRow = (Long, Array[Double], Array[Long], Array[Double])
+
   /** Full-graph inference; returns DataFrame(id LONG, h ARRAY&lt;DOUBLE&gt;). */
   def run(spark: SparkSession, nodes: DataFrame, edges: DataFrame, model: GnnModel,
           opts: BatchOpts = BatchOpts()): DataFrame = {
@@ -78,24 +88,25 @@ object BatchBackend {
     val isHub = col("src").isInCollection(hubs)
     val restEdges = eCached.fold(e)(_.filter(!isHub))
     val hubEdges = eCached.map(_.filter(isHub))
-    // each non-hub source's out-edges as one row, built once for all rounds
-    // and combined map-side; see [[OutEdges]] for why not `collect_list`
+    // each non-hub source's out-edges as one row, combined map-side; see
+    // [[OutEdges]] for why not `collect_list`
     val outLists = restEdges.as[(Long, Long, Double)].rdd
       .map { case (src, dst, w) => (src, (dst, w)) }
       .combineByKey(new OutEdges().add(_), (o: OutEdges, dw: (Long, Double)) => o.add(dw), (a: OutEdges, b: OutEdges) => a.addAll(b))
       .map { case (src, o) => (src, o.dsts.take(o.n), o.ws.take(o.n)) }
-      .toDF("src", "dsts", "ws").cache()
+      .toDF("src", "dsts", "ws")
     var cur = n0.select(col("id"), col("feat").as("h"))
     model.layers.zipWithIndex.foreach { case (layer, round) =>
-      // the hubs' payloads alone (a hub with no node row has none)
+      // the hubs' payloads alone (a hub with no node row has none), read
+      // from the node table in round 0 so the join is not run twice
       val hubPayloads = hubEdges.map(_ => spark.sparkContext.broadcast(
-        cur.filter(col("id").isInCollection(hubs)).as[(Long, Array[Double])]
+        cur.filter(col("id").isInCollection(hubs)).select("id", "h").as[(Long, Array[Double])]
           .map { case (id, h) => (id, layer.scatterPayload(h)) }.collect().toMap))
-      cur = materialize(spark, runRound(spark, cur, outLists, hubEdges, hubPayloads, layer, opts), opts, round)
+      val rows = if (round == 0) withOutLists(spark, cur, outLists) else cur.as[VertexRow]
+      val last = round == model.layers.size - 1
+      cur = materialize(spark, runRound(spark, rows, hubEdges, hubPayloads, layer, last, opts), opts, round)
       hubPayloads.foreach(_.destroy())
     }
-    // the last round's table is spilled or checkpointed, so no cache is needed
-    outLists.unpersist()
     eCached.foreach(_.unpersist())
     // drop shadow mirrors: only ids present in the original node table
     val result =
@@ -104,51 +115,64 @@ object BatchBackend {
     result.select("id", "h")
   }
 
-  private def runRound(spark: SparkSession, cur: DataFrame, outLists: DataFrame, hubEdges: Option[DataFrame],
+  /** The vertex records of round 0: a reduce-side join, as in MapReduce,
+    * where a vertex's state row and its out-edge list row (at most one;
+    * none if it sends nothing) meet in one group, so each task sorts once
+    * where a sort-merge join sorts both sides and holds two sort pages. A
+    * list whose source has no node row meets no state and is dropped.
+    */
+  private def withOutLists(spark: SparkSession, states: DataFrame, outLists: DataFrame): Dataset[VertexRow] = {
+    import spark.implicits._
+    states.select(col("id"), col("h"), lit(null).cast("array<bigint>"), lit(null).cast("array<double>"))
+      .union(outLists.select(col("src"), lit(null).cast("array<double>"), col("dsts"), col("ws")))
+      .groupBy("id").as[Long, VertexRow]
+      .flatMapGroups { (_, group) =>
+        val (stateRows, listRows) = group.toList.partition(_._2 != null)
+        val list = listRows.headOption
+        stateRows.iterator.map { case (id, h, _, _) => (id, h, list.map(_._3).orNull, list.map(_._4).orNull) }
+      }
+  }
+
+  private def runRound(spark: SparkSession, rows: Dataset[VertexRow], hubEdges: Option[DataFrame],
                        hubPayloads: Option[Broadcast[Map[Long, Array[Double]]]], layer: GasLayer,
-                       opts: BatchOpts): DataFrame = {
+                       last: Boolean, opts: BatchOpts): DataFrame = {
     import spark.implicits._
     val readsDst = layer.signature.readsDst
-    // a reduce-side join, as in MapReduce: a vertex's state row and its
-    // out-edge list row (at most one; none if it sends nothing) meet in one
-    // group, so each task sorts once where a sort-merge join sorts both sides
-    // and holds two sort pages; a list whose source has no node row meets no
-    // state and is dropped
-    val rows = cur.select(col("id"), col("h"), lit(null).cast("array<bigint>"), lit(null).cast("array<double>"))
-      .union(outLists.select(col("src"), lit(null).cast("array<double>"), col("dsts"), col("ws")))
-    val sent = rows.groupBy("id").as[Long, (Long, Array[Double], Array[Long], Array[Double])]
-      .flatMapGroups { (id, group) =>
-        val (states, lists) = group.toList.partition(_._2 != null)
-        states.iterator.flatMap { case (_, h, _, _) =>
-          val msgs = lists.iterator.flatMap { case (_, _, dsts, ws) =>
-            val p = layer.scatterPayload(h)
-            dsts.indices.iterator.map(i =>
-              RoundIn(dsts(i), null, if (readsDst) p else layer.applyEdge(p, ws(i)), ws(i), 0L))
-          }
-          Iterator.single(RoundIn(id, h, null, 0.0, 0L)) ++ msgs
-        }
+    // each vertex computes its payload once and sends it along its list;
+    // its own record carries the list on to the reduce, except in the
+    // last round
+    val sent = rows.flatMap { case (id, h, dsts, ws) =>
+      val own = if (last) RoundIn(id, h, null, 0.0, 0L, null, null) else RoundIn(id, h, null, 0.0, 0L, dsts, ws)
+      if (dsts == null) Iterator.single(own)
+      else {
+        val p = layer.scatterPayload(h)
+        Iterator.single(own) ++ dsts.indices.iterator.map(i =>
+          RoundIn(dsts(i), null, if (readsDst) p else layer.applyEdge(p, ws(i)), ws(i), 0L, null, null))
       }
+    }
     // broadcast strategy: hub out-edges carry only (src, w) and receivers
     // look the payload up, so hub messages never cross the shuffle
     val hubRefs = hubEdges.map(_.as[(Long, Long, Double)]
-      .map { case (src, dst, w) => RoundIn(dst, null, null, w, src) })
+      .map { case (src, dst, w) => RoundIn(dst, null, null, w, src, null, null) })
     val records = hubRefs.foldLeft(sent)(_ union _)
 
     val fold = new RoundFold(layer, hubPayloads)
     val reduced =
       if (opts.partialGather && layer.partialGather && !readsDst)
-        records.groupBy("key").agg(udaf(fold, Encoders.product[RoundIn])(records.columns.toSeq.map(col): _*).as("h"))
+        records.groupBy("key").agg(udaf(fold, Encoders.product[RoundIn])(records.columns.toSeq.map(col): _*).as("out"))
       else
         records.groupByKey(_.key)
           .mapGroups((key, rs) => (key, fold.finish(rs.foldLeft(fold.zero)(fold.reduce))))
-          .toDF("key", "h")
-    reduced.where(col("h").isNotNull).select(col("key").as("id"), col("h"))
+          .toDF("key", "out")
+    val out = reduced.where(col("out.h").isNotNull)
+      .select(col("key").as("id"), col("out.h").as("h"), col("out.dsts").as("dsts"), col("out.ws").as("ws"))
+    if (last) out.select("id", "h") else out
   }
 
-  /** Between rounds the MR backend keeps no state in memory: spill the node
-    * table to parquet and read it back (external-storage dataflow). Without
-    * a spill dir, localCheckpoint still cuts the lineage so rounds stay
-    * independent.
+  /** Between rounds the MR backend keeps no state in memory: spill the
+    * vertex records to parquet and read them back (external-storage
+    * dataflow). Without a spill dir, localCheckpoint still cuts the lineage
+    * so rounds stay independent.
     */
   private def materialize(spark: SparkSession, df: DataFrame, opts: BatchOpts, round: Int): DataFrame =
     opts.spillDir match {
@@ -194,17 +218,26 @@ final class OutEdges extends Serializable {
 }
 
 /** One record of a round's reduce, keyed by the receiving vertex: its own
-  * state (`h`), an edge message (`m`, `w`; the raw source payload for a
-  * `readsDst` layer), or a reference to the payload of the broadcast hub
-  * `src` over an edge of weight `w`.
+  * state (`h`, with its out-edge list `dsts`, `ws` to hand on), an edge
+  * message (`m`, `w`; the raw source payload for a `readsDst` layer), or a
+  * reference to the payload of the broadcast hub `src` over an edge of
+  * weight `w`.
   */
-final case class RoundIn(key: Long, h: Array[Double], m: Array[Double], w: Double, src: Long)
+final case class RoundIn(key: Long, h: Array[Double], m: Array[Double], w: Double, src: Long,
+                         dsts: Array[Long], ws: Array[Double])
 
-/** A receiver's partial fold: its state (null until the state record
-  * arrives, and `key` with it), the gathered messages and the hub references
-  * still to resolve.
+/** A receiver's partial fold: its state and out-edge list (null until the
+  * state record arrives, and `key` with them), the gathered messages and
+  * the hub references still to resolve.
   */
-final case class RoundBuf(key: Long, h: Array[Double], agg: Agg, hubs: List[(Long, Double)])
+final case class RoundBuf(key: Long, h: Array[Double], dsts: Array[Long], ws: Array[Double], agg: Agg,
+                          hubs: List[(Long, Double)])
+
+/** A receiver's new state and its out-edge list, handed on unchanged. A
+  * receiver with no node row gets `h = null` (the struct itself may not be
+  * null: the aggregate's output encoder rejects a null top-level object).
+  */
+final case class RoundOut(h: Array[Double], dsts: Array[Long], ws: Array[Double])
 
 /** The reduce of one MR round. `reduce` and `merge` only gather, so Spark may
   * run them map-side (the combiner); `finish` resolves the hub references
@@ -216,14 +249,14 @@ final case class RoundBuf(key: Long, h: Array[Double], agg: Agg, hubs: List[(Lon
   * runs `apply_edge` on each of them and on each hub payload.
   */
 final class RoundFold(layer: GasLayer, hubPayloads: Option[Broadcast[Map[Long, Array[Double]]]])
-    extends Aggregator[RoundIn, RoundBuf, Array[Double]] {
+    extends Aggregator[RoundIn, RoundBuf, RoundOut] {
 
   private val readsDst = layer.signature.readsDst
 
-  def zero: RoundBuf = RoundBuf(0L, null, EmptyAgg, Nil)
+  def zero: RoundBuf = RoundBuf(0L, null, null, null, EmptyAgg, Nil)
 
   def reduce(b: RoundBuf, r: RoundIn): RoundBuf =
-    if (r.h != null) withState(b, r.key, r.h)
+    if (r.h != null) withState(b, r.key, r.h, r.dsts, r.ws)
     else if (r.m != null) {
       val in = if (readsDst) Unioned((r.m, r.w) :: Nil) else layer.initAgg(r.m, r.w)
       b.copy(agg = Agg.merge(in, b.agg))
@@ -231,18 +264,20 @@ final class RoundFold(layer: GasLayer, hubPayloads: Option[Broadcast[Map[Long, A
     else b.copy(hubs = (r.src, r.w) :: b.hubs)
 
   def merge(b1: RoundBuf, b2: RoundBuf): RoundBuf = {
-    val b = if (b2.h == null) b1 else withState(b1, b2.key, b2.h)
+    val b = if (b2.h == null) b1 else withState(b1, b2.key, b2.h, b2.dsts, b2.ws)
     b.copy(agg = Agg.merge(b2.agg, b1.agg), hubs = b2.hubs ::: b1.hubs)
   }
 
-  private def withState(b: RoundBuf, key: Long, h: Array[Double]): RoundBuf = {
+  private def withState(b: RoundBuf, key: Long, h: Array[Double], dsts: Array[Long], ws: Array[Double]): RoundBuf = {
     require(b.h == null, s"duplicate vertex id $key in the node table")
-    b.copy(key = key, h = h)
+    b.copy(key = key, h = h, dsts = dsts, ws = ws)
   }
 
-  /** Null for a key with no state: messages to a missing vertex are dropped. */
-  def finish(b: RoundBuf): Array[Double] =
-    if (b.h == null) null
+  /** `h = null` for a key with no state: messages to a missing vertex are
+    * dropped.
+    */
+  def finish(b: RoundBuf): RoundOut =
+    if (b.h == null) RoundOut(null, null, null)
     else {
       val dst = if (readsDst) layer.scatterPayload(b.h) else null
       def message(p: Array[Double], w: Double): Agg =
@@ -255,9 +290,9 @@ final class RoundFold(layer: GasLayer, hubPayloads: Option[Broadcast[Map[Long, A
       val agg = b.hubs.foldLeft(gathered) { case (acc, (src, w)) =>
         hubPayloads.flatMap(_.value.get(src)).fold(acc)(p => Agg.merge(message(p, w), acc))
       }
-      layer.applyNode(b.h, agg)
+      RoundOut(layer.applyNode(b.h, agg), b.dsts, b.ws)
     }
 
   def bufferEncoder: Encoder[RoundBuf] = Encoders.kryo[RoundBuf]
-  def outputEncoder: Encoder[Array[Double]] = ExpressionEncoder[Array[Double]]()
+  def outputEncoder: Encoder[RoundOut] = Encoders.product[RoundOut]
 }

@@ -1,6 +1,7 @@
 package repro.batch
 
 import repro.SparkSpec
+import repro.GraphFixture
 import repro.BackendTestUtil.{assertMatchesLocal, collectH, fixture}
 import repro.batch.BatchBackend.BatchOpts
 import repro.core.{LocalGraph, LocalInference, Models}
@@ -139,37 +140,61 @@ class BatchBackendSpec extends SparkSpec {
       BatchBackend.run(spark, fix.nodes, fix.edges, sage2, BatchOpts(partialGather = false)).collect()
     }
     // each source's edges sit in one partition of the fixture, so building
-    // the out-edge lists writes one record per source; per round the join
-    // moves each state and each list once, and the reduce each message and
-    // each state once (nothing combined)
+    // the out-edge lists writes one record per source; the join, once per
+    // run, moves each state and each list once; per round the reduce moves
+    // each message and each vertex record once (nothing combined)
     val sources = fix.edges.select("src").distinct().count()
-    assert(cost.shuffleWriteRecords == sources + sage2.layers.size * (n + sources + e + n))
+    assert(cost.shuffleWriteRecords == sources + (n + sources) + sage2.layers.size * (e + n))
   }
 
-  test("out-edge lists keep self-loops and multi-edges; vertices without edges and dangling edges are exact") {
+  /** 0 and 2 have self-loops, 1 → 2 is a multi-edge (two copies identical),
+    * 3 has no out-edges, 4 no in-edges, 5 neither; one edge has a source and
+    * one a destination with no node row. The edge rows are spread
+    * round-robin, so one source's edges meet from several partitions.
+    */
+  private lazy val edgeCases = {
     import spark.implicits._
     val rng = new scala.util.Random(11L)
     val feats = Array.fill(12)(Array.fill(6)(rng.nextGaussian()))
-    // 0 and 2 have self-loops, 1 → 2 is a multi-edge (two copies identical),
-    // 3 has no out-edges, 4 no in-edges, 5 neither
     val valid = Seq((0L, 0L, 1.0), (0L, 1L, 0.7), (1L, 2L, 0.5), (1L, 2L, 1.5), (1L, 2L, 1.5),
       (2L, 3L, 1.2), (2L, 2L, 0.9), (4L, 0L, 1.1), (4L, 3L, 0.8), (4L, 7L, 1.3),
       (6L, 3L, 1.0), (6L, 7L, 1.0), (6L, 8L, 1.0), (6L, 9L, 1.0), (6L, 10L, 1.0), (6L, 11L, 1.0),
       (7L, 6L, 0.6), (8L, 9L, 1.4), (9L, 8L, 0.3), (10L, 11L, 2.0), (11L, 10L, 0.4))
-    // a source and a destination with no node row
     val dangling = Seq((100L, 2L, 1.0), (4L, 200L, 1.0))
     val nodes = feats.indices.map(i => (i.toLong, feats(i))).toDF("id", "feat")
-    // round-robin rows, so one source's edges meet from several partitions
     val edges = (valid ++ dangling).toDF("src", "dst", "w").repartition(4)
     val local = LocalGraph(feats.length, feats.indices.map(_.toLong).toArray,
       valid.map(_._1.toInt).toArray, valid.map(_._2.toInt).toArray, valid.map(_._3).toArray,
       DMat.fromRows(feats.toIndexedSeq), null, new Array[Int](feats.length))
-    val opts = Seq(BatchOpts(partialGather = true), BatchOpts(partialGather = false),
-      BatchOpts(broadcastHubs = true, numWorkers = 8))
     assert(ShadowNodes.hubs(edges, ShadowNodes.threshold(edges.count(), 8)).nonEmpty, "no hubs at 8 workers")
+    GraphFixture(nodes, edges, local)
+  }
+
+  private val edgeCaseOpts = Seq(BatchOpts(partialGather = true), BatchOpts(partialGather = false),
+    BatchOpts(broadcastHubs = true, numWorkers = 8))
+
+  test("out-edge lists keep self-loops and multi-edges; vertices without edges and dangling edges are exact") {
+    val fx = edgeCases
     Seq(Models.sage(Seq(6, 4, 3)), Models.gat(Seq(6, 4, 3), heads = 2)).foreach { m =>
-      val ref = LocalInference.forward(local, m)
-      opts.foreach(o => assertMatchesLocal(BatchBackend.run(spark, nodes, edges, m, o), local, ref, tol = 1e-8))
+      val ref = fx.reference(m)
+      edgeCaseOpts.foreach(o =>
+        assertMatchesLocal(BatchBackend.run(spark, fx.nodes, fx.edges, m, o), fx.local, ref, tol = 1e-8))
+    }
+  }
+
+  test("vertex records carry their out-edge lists through spilled rounds; the output is (id, h) only") {
+    val fx = edgeCases
+    Seq(Models.sage(Seq(6, 5, 4, 3)), Models.gat(Seq(6, 4, 4, 3), heads = 2)).foreach { m =>
+      val ref = fx.reference(m)
+      edgeCaseOpts.foreach { o =>
+        val dir = java.nio.file.Files.createTempDirectory("bb-lists").toString
+        val out = BatchBackend.run(spark, fx.nodes, fx.edges, m, o.copy(spillDir = Some(dir)))
+        assert(out.columns.toSeq == Seq("id", "h"), s"$o: ${out.columns.mkString(", ")}")
+        assertMatchesLocal(out, fx.local, ref, tol = 1e-8)
+        // rounds before the last spill the lists with the state; the last does not
+        assert(spark.read.parquet(s"$dir/round_1").columns.toSeq == Seq("id", "h", "dsts", "ws"))
+        assert(spark.read.parquet(s"$dir/round_2").columns.toSeq == Seq("id", "h"))
+      }
     }
   }
 
