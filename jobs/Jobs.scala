@@ -3,7 +3,7 @@ package repro.jobs
 import org.apache.spark.SparkConf
 import org.apache.spark.graphx.GraphXUtils
 import org.apache.spark.sql.SparkSession
-import repro.batch.{OutEdges, RoundBuf}
+import repro.batch.OutEdges
 import repro.core.{EmptyAgg, Pooled, SoftmaxPool, Unioned}
 import repro.harness._
 
@@ -11,17 +11,16 @@ import repro.harness._
   * and the tests.
   *
   * Kryo carries the GraphX backend's RDD shuffles (payloads and `Agg`
-  * messages), the MR backend's fold buffer ([[RoundBuf]], a Kryo-encoded
-  * Dataset column) and its out-edge list builder ([[OutEdges]], an RDD
-  * shuffle value), so the message classes, the buffer, the builder and
-  * GraphX's own classes are registered. The MR backend's other Dataset
-  * records use Spark's own encoders.
+  * messages) and the MR backend's out-edge list builder ([[OutEdges]], an
+  * RDD shuffle value), so the message classes, the builder and GraphX's own
+  * classes are registered. The MR backend's round records, combined ones
+  * included, are Dataset rows in Spark's own encoders.
   */
 object JobSession {
   def make(name: String): SparkSession = {
     // registerKryoClasses also selects the KryoSerializer
     val conf = new SparkConf().registerKryoClasses(Array(
-      classOf[Pooled], classOf[SoftmaxPool], classOf[Unioned], EmptyAgg.getClass, classOf[Array[Double]], classOf[RoundBuf],
+      classOf[Pooled], classOf[SoftmaxPool], classOf[Unioned], EmptyAgg.getClass, classOf[Array[Double]],
       classOf[OutEdges]))
     GraphXUtils.registerKryoClasses(conf)
     SparkSession.builder

@@ -1,8 +1,8 @@
 package repro.batch
 
+import scala.collection.mutable
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders, SparkSession}
-import org.apache.spark.sql.expressions.Aggregator
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core._
 
@@ -18,7 +18,7 @@ import repro.core._
   *      table in one group per vertex (a reduce-side join). This is the
   *      only exchange in which edges travel apart from their source's
   *      record, and it runs once per run;
-  *   2. map (`scatter_nbrs`): a plain `flatMap` over the vertex records
+  *   2. map (`scatter_nbrs`): one `mapPartitions` over the vertex records
   *      computes each vertex's payload once and emits the vertex's own
   *      record, list included, and one edge message `apply_edge(payload, w)`
   *      per out-edge. With each reference to a broadcast hub's payload these
@@ -28,15 +28,17 @@ import repro.core._
   *      payload instead and `apply_edge` runs in the reduce, where the
   *      receiver's state is;
   *   3. reduce: one [[RoundFold]] folds a receiver's records, runs
-  *      `apply_node` and hands the list on with the new state. With
-  *      **partial-gather** it is driven by a grouped aggregate, which Spark
-  *      runs map-side first (the paper's combiner); without it, by
-  *      `groupByKey` + `mapGroups`, so every record crosses the shuffle
+  *      `apply_node` and hands the list on with the new state, driven by
+  *      `groupByKey` + `flatMapGroups` for every layer. With
+  *      **partial-gather** each map task first folds its own records per
+  *      receiver in a hash map ([[RoundFold.combine]], in-mapper combining,
+  *      the paper's combiner) and emits one record per receiver it saw: the
+  *      state and list, if the task holds them, with the combined aggregate
+  *      encoded as one message. Without it every record crosses the shuffle
   *      exactly once and nothing combines before the receiver (the paper's
-  *      no-combiner baseline). A `readsDst` layer always takes the second
-  *      driver: the map side has no receiver score to combine with, and
-  *      shipping it there would cost one more exchange of every edge per
-  *      round;
+  *      no-combiner baseline). A `readsDst` layer never combines: the map
+  *      side has no receiver score to combine with, and shipping it there
+  *      would cost one more exchange of every edge per round;
   *   4. the new vertex records are persisted to external storage (parquet
   *      spill) before the next round, mirroring the paper's MR dataflow
   *      where no state lives in memory across rounds. The last round's
@@ -50,13 +52,17 @@ import repro.core._
   *    variable, destroyed when the round is materialized; hub out-edges, split
   *    from the rest once and left out of the out-edge lists, carry only the
   *    source id, and receivers look the payload up (the paper's
-  *    identifier/lookup mechanism), so hub messages never cross the shuffle;
+  *    identifier/lookup mechanism; with partial-gather the map task of the
+  *    hub edges does, as it combines), so hub payloads never cross the
+  *    shuffle;
   *  - `shadowNodes`: the [[ShadowNodes]] mirror split, applied as
   *    preprocessing and undone on output.
   *
   * Edges whose source or destination has no node row are dropped, with or
   * without strategies. A vertex id that appears twice in the node table
-  * fails the round with an `IllegalArgumentException` naming the id.
+  * fails the round with an `IllegalArgumentException` naming the id, and an
+  * edge weight that is NaN or infinite fails the run with one naming the
+  * edge, raised while the out-edge lists or the hub references are built.
   */
 object BatchBackend {
 
@@ -91,7 +97,10 @@ object BatchBackend {
     // each non-hub source's out-edges as one row, combined map-side; see
     // [[OutEdges]] for why not `collect_list`
     val outLists = restEdges.as[(Long, Long, Double)].rdd
-      .map { case (src, dst, w) => (src, (dst, w)) }
+      .map { case (src, dst, w) =>
+        require(java.lang.Double.isFinite(w), s"non-finite weight $w on edge $src -> $dst")
+        (src, (dst, w))
+      }
       .combineByKey(new OutEdges().add(_), (o: OutEdges, dw: (Long, Double)) => o.add(dw), (a: OutEdges, b: OutEdges) => a.addAll(b))
       .map { case (src, o) => (src, o.dsts.take(o.n), o.ws.take(o.n)) }
       .toDF("src", "dsts", "ws")
@@ -138,10 +147,14 @@ object BatchBackend {
                        last: Boolean, opts: BatchOpts): DataFrame = {
     import spark.implicits._
     val readsDst = layer.signature.readsDst
+    val fold = new RoundFold(layer, hubPayloads)
+    // partial-gather: each map task folds its records per receiver first
+    val combine: Iterator[RoundIn] => Iterator[RoundIn] =
+      if (opts.partialGather && layer.partialGather && !readsDst) fold.combine(_) else identity
     // each vertex computes its payload once and sends it along its list;
     // its own record carries the list on to the reduce, except in the
     // last round
-    val sent = rows.flatMap { case (id, h, dsts, ws) =>
+    val sent = rows.mapPartitions(vs => combine(vs.flatMap { case (id, h, dsts, ws) =>
       val own = if (last) RoundIn(id, h, null, 0.0, 0L, null, null) else RoundIn(id, h, null, 0.0, 0L, dsts, ws)
       if (dsts == null) Iterator.single(own)
       else {
@@ -149,23 +162,18 @@ object BatchBackend {
         Iterator.single(own) ++ dsts.indices.iterator.map(i =>
           RoundIn(dsts(i), null, if (readsDst) p else layer.applyEdge(p, ws(i)), ws(i), 0L, null, null))
       }
-    }
+    }))
     // broadcast strategy: hub out-edges carry only (src, w) and receivers
-    // look the payload up, so hub messages never cross the shuffle
-    val hubRefs = hubEdges.map(_.as[(Long, Long, Double)]
-      .map { case (src, dst, w) => RoundIn(dst, null, null, w, src, null, null) })
-    val records = hubRefs.foldLeft(sent)(_ union _)
-
-    val fold = new RoundFold(layer, hubPayloads)
-    val reduced =
-      if (opts.partialGather && layer.partialGather && !readsDst)
-        records.groupBy("key").agg(udaf(fold, Encoders.product[RoundIn])(records.columns.toSeq.map(col): _*).as("out"))
-      else
-        records.groupByKey(_.key)
-          .mapGroups((key, rs) => (key, fold.finish(rs.foldLeft(fold.zero)(fold.reduce))))
-          .toDF("key", "out")
-    val out = reduced.where(col("out.h").isNotNull)
-      .select(col("key").as("id"), col("out.h").as("h"), col("out.dsts").as("dsts"), col("out.ws").as("ws"))
+    // look the payload up (the combiner does, when there is one), so hub
+    // payloads never cross the shuffle
+    val hubRefs = hubEdges.map(_.as[(Long, Long, Double)].mapPartitions(es => combine(es.map { case (src, dst, w) =>
+      require(java.lang.Double.isFinite(w), s"non-finite weight $w on edge $src -> $dst")
+      RoundIn(dst, null, null, w, src, null, null)
+    })))
+    val out = hubRefs.foldLeft(sent)(_ union _)
+      .groupByKey(_.key)
+      .flatMapGroups((_, rs) => fold.finish(rs.foldLeft(fold.zero)(fold.reduce)))
+      .toDF()
     if (last) out.select("id", "h") else out
   }
 
@@ -221,7 +229,8 @@ final class OutEdges extends Serializable {
   * state (`h`, with its out-edge list `dsts`, `ws` to hand on), an edge
   * message (`m`, `w`; the raw source payload for a `readsDst` layer), or a
   * reference to the payload of the broadcast hub `src` over an edge of
-  * weight `w`.
+  * weight `w`. A record of [[RoundFold.combine]] may carry a state and a
+  * message, the receiver's combined aggregate, at once.
   */
 final case class RoundIn(key: Long, h: Array[Double], m: Array[Double], w: Double, src: Long,
                          dsts: Array[Long], ws: Array[Double])
@@ -233,39 +242,36 @@ final case class RoundIn(key: Long, h: Array[Double], m: Array[Double], w: Doubl
 final case class RoundBuf(key: Long, h: Array[Double], dsts: Array[Long], ws: Array[Double], agg: Agg,
                           hubs: List[(Long, Double)])
 
-/** A receiver's new state and its out-edge list, handed on unchanged. A
-  * receiver with no node row gets `h = null` (the struct itself may not be
-  * null: the aggregate's output encoder rejects a null top-level object).
+/** A vertex record after the round: the new state and the out-edge list,
+  * handed on unchanged.
   */
-final case class RoundOut(h: Array[Double], dsts: Array[Long], ws: Array[Double])
+final case class RoundOut(id: Long, h: Array[Double], dsts: Array[Long], ws: Array[Double])
 
-/** The reduce of one MR round. `reduce` and `merge` only gather, so Spark may
-  * run them map-side (the combiner); `finish` resolves the hub references
-  * from the broadcast payloads and runs `apply_node`. A new message is merged
-  * on the left, so a [[Unioned]] list grows by prepending.
+/** The fold of one MR round. `reduce` only gathers, so a map task may run it
+  * over its own records first ([[combine]], the combiner); `finish` resolves
+  * the hub references from the broadcast payloads and runs `apply_node`. A
+  * new message is merged on the left, so a [[Unioned]] list grows by
+  * prepending.
   *
   * For a `readsDst` layer the gathered messages are raw source payloads,
   * kept as a [[Unioned]] list; `finish` computes the receiver's payload and
   * runs `apply_edge` on each of them and on each hub payload.
   */
 final class RoundFold(layer: GasLayer, hubPayloads: Option[Broadcast[Map[Long, Array[Double]]]])
-    extends Aggregator[RoundIn, RoundBuf, RoundOut] {
+    extends Serializable {
 
   private val readsDst = layer.signature.readsDst
 
-  def zero: RoundBuf = RoundBuf(0L, null, null, null, EmptyAgg, Nil)
+  val zero: RoundBuf = RoundBuf(0L, null, null, null, EmptyAgg, Nil)
 
-  def reduce(b: RoundBuf, r: RoundIn): RoundBuf =
-    if (r.h != null) withState(b, r.key, r.h, r.dsts, r.ws)
-    else if (r.m != null) {
+  def reduce(b: RoundBuf, r: RoundIn): RoundBuf = {
+    val s = if (r.h == null) b else withState(b, r.key, r.h, r.dsts, r.ws)
+    if (r.m != null) {
       val in = if (readsDst) Unioned((r.m, r.w) :: Nil) else layer.initAgg(r.m, r.w)
-      b.copy(agg = Agg.merge(in, b.agg))
+      s.copy(agg = Agg.merge(in, s.agg))
     }
-    else b.copy(hubs = (r.src, r.w) :: b.hubs)
-
-  def merge(b1: RoundBuf, b2: RoundBuf): RoundBuf = {
-    val b = if (b2.h == null) b1 else withState(b1, b2.key, b2.h, b2.dsts, b2.ws)
-    b.copy(agg = Agg.merge(b2.agg, b1.agg), hubs = b2.hubs ::: b1.hubs)
+    else if (r.h == null) s.copy(hubs = (r.src, r.w) :: s.hubs)
+    else s
   }
 
   private def withState(b: RoundBuf, key: Long, h: Array[Double], dsts: Array[Long], ws: Array[Double]): RoundBuf = {
@@ -273,26 +279,69 @@ final class RoundFold(layer: GasLayer, hubPayloads: Option[Broadcast[Map[Long, A
     b.copy(key = key, h = h, dsts = dsts, ws = ws)
   }
 
-  /** `h = null` for a key with no state: messages to a missing vertex are
-    * dropped.
+  /** In-mapper combining (Lin & Schatz, MLG 2010): folds one map task's
+    * records per receiver in a hash map and emits one record per receiver,
+    * its state and list if the task held them and its gathered aggregate,
+    * hub references resolved, as one message ([[RoundFold.asMessage]]). The
+    * reduce folds these like any other record, so the result is exact
+    * however a receiver's records are split; that is why, past `cap`
+    * receivers, the map can be emitted and cleared to bound a task's memory.
     */
-  def finish(b: RoundBuf): RoundOut =
-    if (b.h == null) RoundOut(null, null, null)
-    else {
-      val dst = if (readsDst) layer.scatterPayload(b.h) else null
-      def message(p: Array[Double], w: Double): Agg =
-        layer.initAgg(layer.applyEdge(if (readsDst) VecOps.concat(p, dst) else p, w), w)
-      val gathered = b.agg match {
-        case Unioned(raw) if readsDst => raw.foldLeft(EmptyAgg: Agg) { case (acc, (p, w)) => Agg.merge(message(p, w), acc) }
-        case agg                      => agg
+  def combine(records: Iterator[RoundIn], cap: Int = RoundFold.CombineCap): Iterator[RoundIn] = {
+    require(!readsDst, "a layer that reads the receiver's payload cannot combine map-side")
+    Iterator.continually {
+      val bufs = mutable.HashMap.empty[Long, RoundBuf]
+      while (bufs.size < cap && records.hasNext) {
+        val r = records.next()
+        bufs.update(r.key, reduce(bufs.getOrElse(r.key, zero), r))
       }
-      // a hub with no node row has no payload and sends nothing
-      val agg = b.hubs.foldLeft(gathered) { case (acc, (src, w)) =>
-        hubPayloads.flatMap(_.value.get(src)).fold(acc)(p => Agg.merge(message(p, w), acc))
+      bufs
+    }.takeWhile(_.nonEmpty).flatMap(_.iterator.flatMap { case (key, b) =>
+      val (m, w) = gathered(b) match {
+        case EmptyAgg => (null, 0.0)
+        case agg      => RoundFold.asMessage(agg)
       }
-      RoundOut(layer.applyNode(b.h, agg), b.dsts, b.ws)
-    }
+      if (b.h == null && m == null) None else Some(RoundIn(key, b.h, m, w, 0L, b.dsts, b.ws))
+    })
+  }
 
-  def bufferEncoder: Encoder[RoundBuf] = Encoders.kryo[RoundBuf]
-  def outputEncoder: Encoder[RoundOut] = Encoders.product[RoundOut]
+  /** `b`'s gathered messages with its hub references resolved (a hub with no
+    * node row has no payload and sends nothing); for a `readsDst` layer,
+    * which needs the receiver's state, also `apply_edge` on each raw payload.
+    */
+  private def gathered(b: RoundBuf): Agg = {
+    val dst = if (readsDst) layer.scatterPayload(b.h) else null
+    def message(p: Array[Double], w: Double): Agg =
+      layer.initAgg(layer.applyEdge(if (readsDst) VecOps.concat(p, dst) else p, w), w)
+    val own = b.agg match {
+      case Unioned(raw) if readsDst => raw.foldLeft(EmptyAgg: Agg) { case (acc, (p, w)) => Agg.merge(message(p, w), acc) }
+      case agg                      => agg
+    }
+    b.hubs.foldLeft(own) { case (acc, (src, w)) =>
+      hubPayloads.flatMap(_.value.get(src)).fold(acc)(p => Agg.merge(message(p, w), acc))
+    }
+  }
+
+  /** None for a key with no state: messages to a missing vertex are dropped. */
+  def finish(b: RoundBuf): Option[RoundOut] =
+    Option(b.h).map(h => RoundOut(b.key, layer.applyNode(h, gathered(b)), b.dsts, b.ws))
+}
+
+object RoundFold {
+
+  /** The most receivers one map task folds before it emits them and starts
+    * over: far above a benchmark task's few thousand, and a bound on the
+    * combiner's memory where a task sees more.
+    */
+  val CombineCap = 65536
+
+  /** A combined aggregate as the one message `(m, w)` that the layer's
+    * `initAgg` lifts back to it: `Pooled(m, w)` (SAGE), or a [[SoftmaxPool]]
+    * whose state is itself a message, its weight unused (GAT's `initAgg`).
+    */
+  def asMessage(agg: Agg): (Array[Double], Double) = agg match {
+    case Pooled(s, w)      => (s, w)
+    case SoftmaxPool(_, s) => (s, 1.0)
+    case other             => throw new IllegalArgumentException(s"${other.getClass.getSimpleName} is not one message")
+  }
 }

@@ -39,8 +39,9 @@ object ShadowNodes {
     edges.groupBy("src").agg(count(lit(1)).as("deg")).filter(col("deg") > thr)
       .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
 
+  /** 0 for an empty edge table. */
   def maxOutDegree(edges: DataFrame): Long =
-    edges.groupBy("src").count().agg(max("count")).head().getLong(0)
+    edges.groupBy("src").count().agg(coalesce(max("count"), lit(0L))).head().getLong(0)
 
   def transform(spark: SparkSession, nodes: DataFrame, edges: DataFrame, thr: Long): Shadowed = {
     import spark.implicits._

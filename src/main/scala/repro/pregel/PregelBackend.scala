@@ -32,7 +32,8 @@ import repro.core._
   * re-partitions, copies the edges or diffs old against new vertices.
   *
   * A vertex id that appears twice in the node table fails the run with an
-  * `IllegalArgumentException` naming the id.
+  * `IllegalArgumentException` naming the id, and a NaN or infinite edge
+  * weight with one naming the edge.
   */
 object PregelBackend {
 
@@ -55,7 +56,11 @@ object PregelBackend {
         it.map { row => require(seen.add(row._1), s"duplicate vertex id ${row._1} in the node table"); row }
       }, preservesPartitioning = true)
     val edgeRdd = edges.select("src", "dst", "w").rdd
-      .map(r => Edge(r.getLong(0), r.getLong(1), r.getDouble(2)))
+      .map { r =>
+        val (src, dst, w) = (r.getLong(0), r.getLong(1), r.getDouble(2))
+        require(java.lang.Double.isFinite(w), s"non-finite weight $w on edge $src -> $dst")
+        Edge(src, dst, w)
+      }
 
     val graph = Graph(verts, edgeRdd)
     var h: VertexRDD[Array[Double]] = graph.vertices

@@ -11,7 +11,8 @@ import repro.pregel.PregelBackend
 /** Both backends against `LocalInference` on small generated graphs with
   * the shapes that break graph code: an empty edge table, vertices with no
   * edges at all, self-loops and multi-edges. Vertex ids are not the local
-  * indices (`id = 7·i + 3`).
+  * indices (`id = 7·i + 3`). MR also runs the broadcast and shadow-node
+  * strategies, where almost every source is a hub.
   */
 class GeneratedGraphSpec extends SparkSpec {
 
@@ -58,6 +59,11 @@ class GeneratedGraphSpec extends SparkSpec {
       assertMatchesLocal(BatchBackend.run(spark, nodes, edges, model, BatchOpts(partialGather = pg, spillDir = dir)),
         local, ref, tol = 1e-8)
     }
+    // at the default 64 workers these graphs have threshold 1: every source
+    // with two out-edges or more is a hub
+    for (pg <- Seq(true, false); hubs <- Seq(BatchOpts(broadcastHubs = true), BatchOpts(shadowNodes = true)))
+      assertMatchesLocal(BatchBackend.run(spark, nodes, edges, model, hubs.copy(partialGather = pg)),
+        local, ref, tol = 1e-8)
     assertMatchesLocal(PregelBackend.run(spark, nodes, edges, model), local, ref, tol = 1e-8)
   }
 

@@ -16,7 +16,7 @@ class BatchBackendSpec extends SparkSpec {
   private lazy val sage2 = Models.sage(Seq(6, 4, 3))
   private lazy val gat2 = Models.gat(Seq(6, 4, 3), heads = 2)
 
-  test("SAGE 2-layer with partial-gather (UDAF combiner) matches the reference") {
+  test("SAGE 2-layer with partial-gather (in-mapper combiner) is exact") {
     assertMatchesLocal(
       BatchBackend.run(spark, fix.nodes, fix.edges, sage2, BatchOpts(partialGather = true)),
       fix.local, fix.reference(sage2), tol = 1e-7)
@@ -207,6 +207,22 @@ class BatchBackendSpec extends SparkSpec {
       val causes = Iterator.iterate[Throwable](err)(_.getCause).takeWhile(_ != null).toSeq
       assert(causes.exists(c => c.isInstanceOf[IllegalArgumentException] &&
         c.getMessage.contains("duplicate vertex id 17")), s"partialGather=$pg: $err")
+    }
+  }
+
+  test("a NaN or infinite edge weight fails the run, naming the edge") {
+    import spark.implicits._
+    // 6 -> 3 is a hub edge at 8 workers, so the broadcast run meets it among
+    // the hub references, the others while building the out-edge lists
+    Seq(Double.NaN, Double.PositiveInfinity).foreach { bad =>
+      val edges = edgeCases.edges.as[(Long, Long, Double)]
+        .map { case (s, d, w) => (s, d, if (s == 6L && d == 3L) bad else w) }.toDF("src", "dst", "w")
+      edgeCaseOpts.foreach { o =>
+        val err = intercept[Exception](BatchBackend.run(spark, edgeCases.nodes, edges, sage2, o).collect())
+        val causes = Iterator.iterate[Throwable](err)(_.getCause).takeWhile(_ != null).toSeq
+        assert(causes.exists(c => c.isInstanceOf[IllegalArgumentException] &&
+          c.getMessage.contains(s"non-finite weight $bad on edge 6 -> 3")), s"$o: $err")
+      }
     }
   }
 }

@@ -85,17 +85,18 @@ class PregelBackendSpec extends SparkSpec {
     }
   }
 
-  test("a NaN-weight edge is a real edge") {
+  test("a NaN or infinite edge weight fails the run, naming the edge") {
     import spark.implicits._
-    // chain 0 -> 1 -> 2 plus 3 -> 2 with weight NaN; GAT ignores weights,
-    // so vertex 2 attends over both in-edges and the reference is finite
-    val nodes = (0L to 3L).map(i => (i, Seq.tabulate(3)(j => (i * 3 + j + 1) / 10.0), 0, Seq(0)))
-      .toDF("id", "feat", "label", "labels")
-    val edges = Seq((0L, 1L, 1.0), (1L, 2L, 1.0), (3L, 2L, Double.NaN)).toDF("src", "dst", "w")
+    // chain 0 -> 1 -> 2 plus 3 -> 2 with a non-finite weight, which GAT would
+    // ignore: the edge is refused all the same
+    val nodes = (0L to 3L).map(i => (i, Seq.tabulate(3)(j => (i * 3 + j + 1) / 10.0))).toDF("id", "feat")
     val m = Models.gat(Seq(3, 4, 2), heads = 2)
-    val local = repro.graphgen.GraphGen.toLocal(nodes, edges, 2)
-    val ref = repro.core.LocalInference.forward(local, m)
-    assert(ref.a.forall(v => !v.isNaN && !v.isInfinite), "reference must be finite")
-    assertMatchesLocal(PregelBackend.run(spark, nodes, edges, m), local, ref)
+    Seq(Double.NaN, Double.NegativeInfinity).foreach { bad =>
+      val edges = Seq((0L, 1L, 1.0), (1L, 2L, 1.0), (3L, 2L, bad)).toDF("src", "dst", "w")
+      val err = intercept[Exception](PregelBackend.run(spark, nodes, edges, m).collect())
+      val causes = Iterator.iterate[Throwable](err)(_.getCause).takeWhile(_ != null).toSeq
+      assert(causes.exists(c => c.isInstanceOf[IllegalArgumentException] &&
+        c.getMessage.contains(s"non-finite weight $bad on edge 3 -> 2")), s"$err")
+    }
   }
 }
