@@ -3,7 +3,7 @@ package repro.jobs
 import org.apache.spark.SparkConf
 import org.apache.spark.graphx.GraphXUtils
 import org.apache.spark.sql.SparkSession
-import repro.batch.OutEdges
+import repro.batch.{EdgeList, EdgeLists}
 import repro.core.{EmptyAgg, Pooled, SoftmaxPool, Unioned}
 import repro.harness._
 
@@ -11,26 +11,45 @@ import repro.harness._
   * and the tests.
   *
   * Kryo carries the GraphX backend's RDD shuffles (payloads and `Agg`
-  * messages) and the MR backend's out-edge list builder ([[OutEdges]], an
-  * RDD shuffle value), so the message classes, the builder and GraphX's own
+  * messages) and the MR backend's edge-list builder ([[EdgeLists]], an RDD
+  * shuffle value), so the message classes, the builder and GraphX's own
   * classes are registered. The MR backend's round records, combined ones
   * included, are Dataset rows in Spark's own encoders.
+  *
+  * The SQL shuffle, which carries every MR exchange, gets two partitions per
+  * core ([[shufflePartitions]]); GraphX's RDD shuffles follow
+  * `defaultParallelism` on their own.
   */
 object JobSession {
   def make(name: String): SparkSession = {
     // registerKryoClasses also selects the KryoSerializer
     val conf = new SparkConf().registerKryoClasses(Array(
       classOf[Pooled], classOf[SoftmaxPool], classOf[Unioned], EmptyAgg.getClass, classOf[Array[Double]],
-      classOf[OutEdges]))
+      classOf[EdgeLists], classOf[EdgeList]))
     GraphXUtils.registerKryoClasses(conf)
-    SparkSession.builder
+    val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config(conf)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
+    spark.conf.set("spark.sql.shuffle.partitions",
+      shufflePartitions(sys.env, spark.sparkContext.defaultParallelism).toLong)
+    spark
   }
+
+  /** `spark.sql.shuffle.partitions` for a session with `cores` cores:
+    * `SPARK_SHUFFLE_PARTITIONS` if `env` sets it, else `2 × cores`. Each MR
+    * map task writes one shuffle block per partition, and adaptive execution
+    * coalesces the reduce side into a few partitions anyway, so a fixed 64
+    * on 4 cores paid 64 writers and compression streams per task for
+    * nothing. Not fewer than two per core: at one, the blocks grow so large
+    * that LZ4 finds most of the payload copies an uncombined round repeats
+    * along a source's out-edges, and partial-gather's bytes cut in
+    * `StrategiesHarness` falls below its 30% floor (13% on 4 cores).
+    */
+  def shufflePartitions(env: Map[String, String], cores: Int): Int =
+    env.get("SPARK_SHUFFLE_PARTITIONS").fold(2 * cores)(_.toInt)
 
   def scaleArg(args: Array[String], default: Double): Double =
     args.headOption.map(_.toDouble).getOrElse(default)

@@ -15,6 +15,7 @@ class BatchBackendSpec extends SparkSpec {
     nClasses = 3, homophily = 0.3, seed = 56L, wMin = 0.5, wMax = 1.5))
   private lazy val sage2 = Models.sage(Seq(6, 4, 3))
   private lazy val gat2 = Models.gat(Seq(6, 4, 3), heads = 2)
+  private lazy val sage2Wide = Models.sage(Seq(16, 8, 4))
 
   test("SAGE 2-layer with partial-gather (in-mapper combiner) is exact") {
     assertMatchesLocal(
@@ -147,6 +148,59 @@ class BatchBackendSpec extends SparkSpec {
     assert(cost.shuffleWriteRecords == sources + (n + sources) + sage2.layers.size * (e + n))
   }
 
+  test("with broadcast on, hub edges cross the shuffle only in the round-0 join") {
+    import org.apache.spark.sql.functions.{col, spark_partition_id, when}
+    val fz = fixture(spark, GraphGen.powerLaw(400, avgDeg = 8, inSkew = false, seed = 67L))
+    // the run's own hub search, measured apart: the edge count for the
+    // threshold and the out-degree aggregate
+    val (hubs, search) = SparkCost.measure(spark, "bb-bc-hubs") {
+      ShadowNodes.hubs(fz.edges, ShadowNodes.threshold(fz.edges.count(), 8)).keySet
+    }
+    assert(hubs.nonEmpty, "power-law fixture has no hubs")
+    val (_, cost) = SparkCost.measure(spark, "bb-bc-records") {
+      BatchBackend.run(spark, fz.nodes, fz.edges, sage2Wide,
+        BatchOpts(partialGather = false, broadcastHubs = true, numWorkers = 8)).collect()
+    }
+    val n = fz.nodes.count()
+    val isHub = col("src").isInCollection(hubs)
+    val hubEdges = fz.edges.filter(isHub).count()
+    assert(hubEdges > 0)
+    // building the lists writes one record per key and map task, a hub edge
+    // keyed by its receiver and any other edge by its source; the join moves
+    // each state and each list once; per round the reduce moves each vertex
+    // record and each non-hub edge message once, and no hub edge
+    val key = when(isHub, col("dst")).otherwise(col("src"))
+    val listRecords = fz.edges.select(spark_partition_id(), key).distinct().count()
+    val lists = fz.edges.select(key).distinct().count()
+    val rounds = sage2Wide.layers.size
+    assert(cost.shuffleWriteRecords - search.shuffleWriteRecords ==
+      listRecords + (n + lists) + rounds * (n + fz.edges.count() - hubEdges))
+  }
+
+  test("results, and records without partial-gather, do not depend on spark.sql.shuffle.partitions") {
+    val fz = fixture(spark, GraphGen.powerLaw(400, avgDeg = 8, inSkew = false, seed = 67L))
+    val ref = fz.reference(sage2Wide)
+    val conf = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(conf)
+    val runs = try for {
+      parts <- Seq(1, 3, 64)
+      pg <- Seq(true, false)
+      bc <- Seq(true, false)
+      spill <- Seq(true, false)
+    } yield {
+      spark.conf.set(conf, parts.toLong)
+      val dir = if (spill) Some(java.nio.file.Files.createTempDirectory("bb-parts").toString) else None
+      val opts = BatchOpts(partialGather = pg, broadcastHubs = bc, numWorkers = 8, spillDir = dir)
+      val (_, cost) = SparkCost.measure(spark, s"bb-parts-$parts") {
+        assertMatchesLocal(BatchBackend.run(spark, fz.nodes, fz.edges, sage2Wide, opts), fz.local, ref, tol = 1e-8)
+      }
+      (parts, opts.copy(spillDir = None), cost.shuffleWriteRecords)
+    } finally spark.conf.set(conf, saved)
+    runs.filter(!_._2.partialGather).groupBy(_._2).foreach { case (opts, rs) =>
+      assert(rs.map(_._3).distinct.size == 1, s"$opts: records per partition count ${rs.map(r => (r._1, r._3))}")
+    }
+  }
+
   /** 0 and 2 have self-loops, 1 → 2 is a multi-edge (two copies identical),
     * 3 has no out-edges, 4 no in-edges, 5 neither; one edge has a source and
     * one a destination with no node row. The edge rows are spread
@@ -191,8 +245,10 @@ class BatchBackendSpec extends SparkSpec {
         val out = BatchBackend.run(spark, fx.nodes, fx.edges, m, o.copy(spillDir = Some(dir)))
         assert(out.columns.toSeq == Seq("id", "h"), s"$o: ${out.columns.mkString(", ")}")
         assertMatchesLocal(out, fx.local, ref, tol = 1e-8)
-        // rounds before the last spill the lists with the state; the last does not
-        assert(spark.read.parquet(s"$dir/round_1").columns.toSeq == Seq("id", "h", "dsts", "ws"))
+        // rounds before the last spill the lists with the state (the hub
+        // in-edges only with hubs); the last does not
+        val lists = if (o.broadcastHubs) Seq("dsts", "ws", "hubSrcs", "hubWs") else Seq("dsts", "ws")
+        assert(spark.read.parquet(s"$dir/round_1").columns.toSeq == Seq("id", "h") ++ lists)
         assert(spark.read.parquet(s"$dir/round_2").columns.toSeq == Seq("id", "h"))
       }
     }

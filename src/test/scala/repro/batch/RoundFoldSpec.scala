@@ -30,9 +30,9 @@ class RoundFoldSpec extends AnyFunSuite {
     */
   private def records(msg: scala.util.Random => Array[Double]): Seq[RoundIn] = {
     val rng = new scala.util.Random(5L)
-    val states = (0L until 5L).map(k => RoundIn(k, Array.fill(3)(rng.nextGaussian()), null, 0.0, 0L,
-      if (k == 4) Array(1L, 2L) else null, if (k == 4) Array(0.5, 1.5) else null))
-    val msgs = Seq.fill(60)(RoundIn(rng.nextInt(6).toLong, null, msg(rng), rng.nextDouble() + 0.5, 0L, null, null))
+    val states = (0L until 5L).map(k => RoundIn(k, Array.fill(3)(rng.nextGaussian()), null, 0.0,
+      if (k == 4) Array(1L, 2L) else null, if (k == 4) Array(0.5, 1.5) else null, null, null))
+    val msgs = Seq.fill(60)(RoundIn(rng.nextInt(6).toLong, null, msg(rng), rng.nextDouble() + 0.5, null, null, null, null))
     rng.shuffle(states ++ msgs)
   }
 
@@ -50,22 +50,30 @@ class RoundFoldSpec extends AnyFunSuite {
     case other             => fail(s"unexpected $other")
   }
 
-  private def assertSameReduce(layer: GasLayer, rs: Seq[RoundIn], cap: Int): Unit = {
-    val fold = new RoundFold(layer, None)
-    val want = reduced(fold, rs)
-    val got = reduced(fold, fold.combine(rs.iterator, cap).toSeq)
+  private def assertSameAggs(got: Map[Long, RoundBuf], want: Map[Long, RoundBuf]): Unit = {
     assert(got.keySet == want.keySet)
     want.foreach { case (k, b) =>
-      val g = got(k)
-      assert(g.key == b.key && (g.h eq b.h) && (g.dsts eq b.dsts) && (g.ws eq b.ws), s"receiver $k")
-      val (x, y) = (values(g.agg), values(b.agg))
-      assert(x.length == y.length)
+      val (x, y) = (values(got(k).agg), values(b.agg))
+      assert(x.length == y.length, s"receiver $k")
       x.zip(y).foreach { case (a, c) => assert(math.abs(a - c) <= 1e-12, s"receiver $k: $a vs $c") }
     }
   }
 
+  private def assertSameReduce(layer: GasLayer, rs: Seq[RoundIn], cap: Int,
+                               hubPayload: Long => Option[Array[Double]] = _ => None): Unit = {
+    val fold = new RoundFold(layer, hubPayload)
+    val want = reduced(fold, rs)
+    val got = reduced(fold, fold.combine(rs.iterator, cap).toSeq)
+    assertSameAggs(got, want)
+    want.foreach { case (k, b) =>
+      val g = got(k)
+      assert(g.key == b.key && (g.h eq b.h) && (g.dsts eq b.dsts) && (g.ws eq b.ws) &&
+        (g.hubSrcs eq b.hubSrcs) && (g.hubWs eq b.hubWs), s"receiver $k")
+    }
+  }
+
   test("the combiner emits one record per distinct receiver") {
-    val fold = new RoundFold(sage, None)
+    val fold = new RoundFold(sage, _ => None)
     val out = fold.combine(sageRecords.iterator).toSeq
     assert(out.map(_.key).sorted == sageRecords.map(_.key).distinct.sorted)
   }
@@ -76,10 +84,24 @@ class RoundFoldSpec extends AnyFunSuite {
   }
 
   test("a combiner that empties its map every 2 receivers is still exact") {
-    val out = new RoundFold(sage, None).combine(sageRecords.iterator, cap = 2).toSeq
+    val out = new RoundFold(sage, _ => None).combine(sageRecords.iterator, cap = 2).toSeq
     assert(out.size > sageRecords.map(_.key).distinct.size, "the cap never emptied the map")
     assertSameReduce(sage, sageRecords, cap = 2)
     assertSameReduce(SoftmaxSum, softmaxRecords, cap = 2)
+  }
+
+  test("a state's hub in-edges are resolved exactly once, whether the combiner folds it or not") {
+    // hubs 100 and 101 have payloads, 102 (no node row) has none
+    val payloads = Map(100L -> Array(1.0, -2.0, 0.5), 101L -> Array(0.25, 0.0, 3.0))
+    val hubSrcs = Array(100L, 102L, 101L, 100L)
+    val hubWs = Array(0.5, 1.0, 2.0, 1.5)
+    val withHubs = sageRecords.map(r => if (r.h != null && r.key % 2 == 0) r.copy(hubSrcs = hubSrcs, hubWs = hubWs) else r)
+    // the same receivers with each resolvable hub in-edge sent as an edge message
+    val asMessages = sageRecords ++ withHubs.filter(_.hubSrcs != null).flatMap(r =>
+      hubSrcs.indices.flatMap(i => payloads.get(hubSrcs(i)).map(p =>
+        RoundIn(r.key, null, sage.applyEdge(p, hubWs(i)), hubWs(i), null, null, null, null))))
+    assertSameAggs(reduced(new RoundFold(sage, payloads.get), withHubs), reduced(new RoundFold(sage, _ => None), asMessages))
+    Seq(RoundFold.CombineCap, 2).foreach(cap => assertSameReduce(sage, withHubs, cap, payloads.get))
   }
 
   test("only Pooled and SoftmaxPool states travel as one message") {
