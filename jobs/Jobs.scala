@@ -43,10 +43,11 @@ object JobSession {
     * map task writes one shuffle block per partition, and adaptive execution
     * coalesces the reduce side into a few partitions anyway, so a fixed 64
     * on 4 cores paid 64 writers and compression streams per task for
-    * nothing. Not fewer than two per core: at one, the blocks grow so large
-    * that LZ4 finds most of the payload copies an uncombined round repeats
-    * along a source's out-edges, and partial-gather's bytes cut in
-    * `StrategiesHarness` falls below its 30% floor (13% on 4 cores).
+    * nothing. The factor 2 is a measurement on 4 cores, not a derivation:
+    * one per core ran the benchmark faster still, but its larger blocks let
+    * LZ4 find most of the payload copies an uncombined round repeats along a
+    * source's out-edges, so the shuffle bytes that partial-gather saves fell
+    * from 37% to 13% in `StrategiesHarness`.
     */
   def shufflePartitions(env: Map[String, String], cores: Int): Int =
     env.get("SPARK_SHUFFLE_PARTITIONS").fold(2 * cores)(_.toInt)

@@ -2,7 +2,7 @@ package repro.batch
 
 import scala.collection.mutable
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{Column, DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core._
 
@@ -57,8 +57,10 @@ import repro.core._
   *    variable, destroyed when the round is materialized; hub out-edges are
   *    left out of the out-edge lists and kept, as source ids, on their
   *    receivers' records, which look the payload up (the paper's
-  *    identifier/lookup mechanism), so neither hub payloads nor hub edges
-  *    cross a round's shuffle;
+  *    identifier/lookup mechanism). So no hub payload crosses a round's
+  *    shuffle, and no hub edge crosses as a record of its own: each travels,
+  *    as a source id and a weight, inside its receiver's vertex record, in
+  *    every round's shuffle and every spill;
   *  - `shadowNodes`: the [[ShadowNodes]] mirror split, applied as
   *    preprocessing and undone on output.
   *
@@ -79,16 +81,10 @@ object BatchBackend {
 
   /** A vertex record: state `h`, out-edge list (`dsts`, `ws`; both null for
     * a vertex without non-hub out-edges) and in-edges from broadcast hubs
-    * (`hubSrcs`, `hubWs`; both null for a vertex without any).
+    * (`hubSrcs`, `hubWs`; both null for a vertex without any, so always null
+    * without the broadcast strategy).
     */
   private type VertexRow = (Long, Array[Double], Array[Long], Array[Double], Array[Long], Array[Double])
-
-  /** The hub in-edge columns of a vertex record, with their types. */
-  private val HubLists = Seq("hubSrcs" -> "array<bigint>", "hubWs" -> "array<double>")
-
-  /** Null list columns of the given names and types. */
-  private def noLists(lists: Seq[(String, String)]): Seq[Column] =
-    lists.map { case (c, t) => lit(null).cast(t).as(c) }
 
   /** Full-graph inference; returns DataFrame(id LONG, h ARRAY&lt;DOUBLE&gt;). */
   def run(spark: SparkSession, nodes: DataFrame, edges: DataFrame, model: GnnModel,
@@ -119,10 +115,7 @@ object BatchBackend {
       val hubPayloads = if (hubs.isEmpty) None else Some(spark.sparkContext.broadcast(
         cur.filter(col("id").isInCollection(hubs)).select("id", "h").as[(Long, Array[Double])]
           .map { case (id, h) => (id, layer.scatterPayload(h)) }.collect().toMap))
-      val rows =
-        if (round == 0) withEdgeLists(spark, cur, lists)
-        else if (hubs.isEmpty) cur.select(col("*") +: noLists(HubLists): _*).as[VertexRow]
-        else cur.as[VertexRow]
+      val rows = if (round == 0) withEdgeLists(spark, cur, lists) else cur.as[VertexRow]
       val last = round == model.layers.size - 1
       cur = materialize(spark, runRound(spark, rows, hubPayloads, layer, last, opts), opts, round)
       hubPayloads.foreach(_.destroy())
@@ -142,7 +135,9 @@ object BatchBackend {
     */
   private def withEdgeLists(spark: SparkSession, states: DataFrame, lists: DataFrame): Dataset[VertexRow] = {
     import spark.implicits._
-    states.select(col("id") +: col("h") +: noLists(("dsts", "array<bigint>") +: ("ws", "array<double>") +: HubLists): _*)
+    val noLists = Seq("dsts" -> "array<bigint>", "ws" -> "array<double>", "hubSrcs" -> "array<bigint>",
+      "hubWs" -> "array<double>").map { case (c, t) => lit(null).cast(t).as(c) }
+    states.select(col("id") +: col("h") +: noLists: _*)
       .union(lists.select(col("id"), lit(null).cast("array<double>").as("h"), col("dsts"), col("ws"),
         col("hubSrcs"), col("hubWs")))
       .groupBy("id").as[Long, VertexRow]
@@ -179,8 +174,7 @@ object BatchBackend {
       .groupByKey(_.key)
       .flatMapGroups((_, rs) => fold.finish(rs.foldLeft(fold.zero)(fold.reduce)))
       .toDF()
-    // without hubs the hub lists are all null: they are not spilled
-    if (last) out.select("id", "h") else if (hubPayloads.isEmpty) out.drop(HubLists.map(_._1): _*) else out
+    if (last) out.select("id", "h") else out
   }
 
   /** Between rounds the MR backend keeps no state in memory: spill the

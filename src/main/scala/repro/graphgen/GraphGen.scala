@@ -123,13 +123,19 @@ object GraphGen {
     }
   }
 
+  /** The ids `0 until nNodes` in `partitions` partitions (default: the
+    * session's default parallelism), each a contiguous range.
+    */
+  private def ids(spark: SparkSession, spec: GraphSpec, partitions: Option[Int]) =
+    partitions.fold(spark.range(spec.nNodes))(spark.range(0, spec.nNodes, 1, _))
+
   /** Node table: id, feat ARRAY&lt;DOUBLE&gt;, label INT, labels ARRAY&lt;INT&gt;. */
-  def nodes(spark: SparkSession, spec: GraphSpec): DataFrame = {
+  def nodes(spark: SparkSession, spec: GraphSpec, partitions: Option[Int] = None): DataFrame = {
     val cents = centroids(spec)
     val featUdf = udf((id: Long) => featuresOf(spec, cents, id))
     val labelUdf = udf((id: Long) => classOf(spec, id))
     val labelsUdf = udf((id: Long) => activeClasses(spec, id))
-    spark.range(spec.nNodes).select(
+    ids(spark, spec, partitions).select(
       col("id"),
       featUdf(col("id")).as("feat"),
       labelUdf(col("id")).as("label"),
@@ -137,10 +143,12 @@ object GraphGen {
     )
   }
 
-  /** Edge table: src, dst, w. Directed; no self-loops. */
-  def edges(spark: SparkSession, spec: GraphSpec): DataFrame = {
+  /** Edge table: src, dst, w. Directed; no self-loops. A source's edges
+    * sit in its id's partition.
+    */
+  def edges(spark: SparkSession, spec: GraphSpec, partitions: Option[Int] = None): DataFrame = {
     val edgeUdf = udf((id: Long) => outEdgesOf(spec, id))
-    spark.range(spec.nNodes)
+    ids(spark, spec, partitions)
       .select(col("id").as("src"), explode(edgeUdf(col("id"))).as("e"))
       .select(col("src"), col("e._1").as("dst"), col("e._2").as("w"))
   }

@@ -22,10 +22,23 @@ import repro.metrics.{Cost, SparkCost}
   * `numWorkers` plays the paper's cluster width in the threshold heuristic
   * (λ·|E|/workers); 200 simulated workers gives a threshold low enough for
   * a realistic hub population at this scale.
+  *
+  * The study runs on a fixed layout, whatever the session's cores:
+  * [[Partitions]] input partitions (so as many map tasks), twice as many SQL
+  * shuffle partitions (`JobSession`'s rule at that many cores) and adaptive
+  * coalescing down to no fewer than [[Partitions]]. Its cuts depend on the
+  * layout. The combiner folds per map task, and LZ4 finds more repeated
+  * payloads in larger blocks. Broadcast's list build ships a receiver's hub
+  * in-edges once per map task that holds any, which with one layer is about
+  * what the round then saves. On the session's own layout the broadcast
+  * records cut was 11.0, 7.1, 4.3 and 2.7% at 2, 4, 8 and 16 cores.
   */
 object StrategiesHarness {
 
   final case class Config(nNodes: Long = 20000, avgDeg: Double = 15, numWorkers: Int = 200)
+
+  /** The study's input partitions: the layout of a 4-core session. */
+  val Partitions = 4
 
   /** The study's numbers; every `*Cut` is a percentage of its baseline. */
   final case class Result(cfg: Config, inEdges: Long, pgOff: Cost, pgOn: Cost,
@@ -52,12 +65,22 @@ object StrategiesHarness {
   private def cut(before: Long, after: Long): Double = 100.0 * (before - after) / math.max(1L, before)
 
   def run(spark: SparkSession, cfg: Config = Config()): Result = {
+    val layout = Seq("spark.sql.shuffle.partitions" -> 2 * Partitions,
+      "spark.sql.adaptive.coalescePartitions.minPartitionNum" -> Partitions)
+    val saved = layout.map { case (k, _) => k -> spark.conf.getOption(k) }
+    layout.foreach { case (k, v) => spark.conf.set(k, v.toLong) }
+    try study(spark, cfg)
+    finally saved.foreach { case (k, v) => v.fold(spark.conf.unset(k))(spark.conf.set(k, _)) }
+  }
+
+  private def study(spark: SparkSession, cfg: Config): Result = {
     val model = Models.sage(Seq(16, 16))
+    val parts = Some(Partitions)
 
     // --- partial-gather: in-degree power law ---
     val inSpec = GraphGen.powerLaw(cfg.nNodes, cfg.avgDeg, inSkew = true)
-    val inNodes = GraphGen.nodes(spark, inSpec).cache()
-    val inEdges = GraphGen.edges(spark, inSpec).cache()
+    val inNodes = GraphGen.nodes(spark, inSpec, parts).cache()
+    val inEdges = GraphGen.edges(spark, inSpec, parts).cache()
     inNodes.count(); val inE = inEdges.count()
     val (_, pgOff) = SparkCost.measure(spark, "strat-pg-off") {
       BatchBackend.run(spark, inNodes, inEdges, model, BatchOpts(partialGather = false)).count()
@@ -69,8 +92,8 @@ object StrategiesHarness {
 
     // --- broadcast + shadow-nodes: out-degree power law (heavier tail) ---
     val outSpec = GraphGen.powerLaw(cfg.nNodes, cfg.avgDeg, inSkew = false, alpha = 1.5)
-    val outNodes = GraphGen.nodes(spark, outSpec).cache()
-    val outEdges = GraphGen.edges(spark, outSpec).cache()
+    val outNodes = GraphGen.nodes(spark, outSpec, parts).cache()
+    val outEdges = GraphGen.edges(spark, outSpec, parts).cache()
     outNodes.count(); val totalE = outEdges.count()
     val thr = ShadowNodes.threshold(totalE, cfg.numWorkers)
     val maxOut = ShadowNodes.maxOutDegree(outEdges)

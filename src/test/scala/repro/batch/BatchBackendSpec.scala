@@ -1,5 +1,7 @@
 package repro.batch
 
+import org.apache.hadoop.fs.Path
+import org.apache.parquet.hadoop.ParquetFileReader
 import repro.SparkSpec
 import repro.GraphFixture
 import repro.BackendTestUtil.{assertMatchesLocal, collectH, fixture}
@@ -236,6 +238,21 @@ class BatchBackendSpec extends SparkSpec {
     }
   }
 
+  /** Each leaf column of the parquet files in `dir`, by its dotted path, and
+    * whether any of its column chunks has a dictionary page.
+    */
+  private def dictionaryColumns(dir: String): Map[String, Boolean] = {
+    import scala.jdk.CollectionConverters._
+    val conf = spark.sparkContext.hadoopConfiguration
+    val chunks = new java.io.File(dir).listFiles().filter(_.getName.endsWith(".parquet")).toSeq.flatMap { f =>
+      val reader = ParquetFileReader.open(conf, new Path(f.getPath))
+      try reader.getFooter.getBlocks.asScala.flatMap(_.getColumns.asScala)
+        .map(c => c.getPath.toDotString -> c.hasDictionaryPage).toSeq
+      finally reader.close()
+    }
+    chunks.groupMapReduce(_._1)(_._2)(_ || _)
+  }
+
   test("vertex records carry their out-edge lists through spilled rounds; the output is (id, h) only") {
     val fx = edgeCases
     Seq(Models.sage(Seq(6, 5, 4, 3)), Models.gat(Seq(6, 4, 4, 3), heads = 2)).foreach { m =>
@@ -245,13 +262,26 @@ class BatchBackendSpec extends SparkSpec {
         val out = BatchBackend.run(spark, fx.nodes, fx.edges, m, o.copy(spillDir = Some(dir)))
         assert(out.columns.toSeq == Seq("id", "h"), s"$o: ${out.columns.mkString(", ")}")
         assertMatchesLocal(out, fx.local, ref, tol = 1e-8)
-        // rounds before the last spill the lists with the state (the hub
-        // in-edges only with hubs); the last does not
-        val lists = if (o.broadcastHubs) Seq("dsts", "ws", "hubSrcs", "hubWs") else Seq("dsts", "ws")
-        assert(spark.read.parquet(s"$dir/round_1").columns.toSeq == Seq("id", "h") ++ lists)
+        // rounds before the last spill the lists with the state, the hub
+        // in-edges too (null without hubs); the last does not
+        assert(spark.read.parquet(s"$dir/round_1").columns.toSeq == Seq("id", "h", "dsts", "ws", "hubSrcs", "hubWs"))
         assert(spark.read.parquet(s"$dir/round_2").columns.toSeq == Seq("id", "h"))
       }
     }
+  }
+
+  test("the spill writes the states without a parquet dictionary and the out-edge lists with one") {
+    import spark.implicits._
+    // every vertex has the same features and sends to vertices 0-3 alone, so
+    // the states after a round take two values and the lists four ids: both
+    // columns would be dictionary-encoded if the writer were let
+    val nodes = (0L until 200L).map(i => (i, Array.fill(6)(1.0))).toDF("id", "feat")
+    val edges = (for (i <- 0L until 200L; k <- 0L until 4L) yield (i, k, 1.0)).toDF("src", "dst", "w")
+    val dir = java.nio.file.Files.createTempDirectory("bb-dict").toString
+    BatchBackend.run(spark, nodes, edges, sage2, BatchOpts(spillDir = Some(dir))).collect()
+    val dict = dictionaryColumns(s"$dir/round_0")
+    assert(dict.get("h.list.element").contains(false), dict)
+    assert(dict.get("dsts.list.element").contains(true), dict)
   }
 
   test("a duplicate vertex id fails the reduce with an error naming it") {

@@ -23,6 +23,13 @@ class GraphGenSpec extends SparkSpec {
     val e1 = GraphGen.edges(spark, spec).collect().map(r => (r.getLong(0), r.getLong(1))).sorted.toSeq
     val e2 = GraphGen.edges(spark, spec).repartition(7).collect().map(r => (r.getLong(0), r.getLong(1))).sorted.toSeq
     assert(e1 == e2)
+    // generated in a given number of partitions: the same graph
+    val c = GraphGen.nodes(spark, spec, Some(3))
+    assert(c.rdd.getNumPartitions == 3)
+    assert(c.collect().map(r => (r.getLong(0), r.getSeq[Double](1))).sortBy(_._1).toSeq == a.toSeq)
+    val e3 = GraphGen.edges(spark, spec, Some(3))
+    assert(e3.rdd.getNumPartitions == 3)
+    assert(e3.collect().map(r => (r.getLong(0), r.getLong(1))).sorted.toSeq == e1)
   }
 
   test("label is id mod nClasses") {

@@ -8,6 +8,10 @@ import repro.SparkSpec
 class StrategiesSpec extends SparkSpec {
 
   test("partial-gather, broadcast and shadow-nodes clear the strategy study's floors") {
+    val parts = spark.conf.get("spark.sql.shuffle.partitions")
     StrategiesFloors.check(StrategiesHarness.run(spark, StrategiesFloors.Cfg))
+    // the study's fixed layout is the session's again afterwards
+    assert(spark.conf.get("spark.sql.shuffle.partitions") == parts)
+    assert(spark.conf.getOption("spark.sql.adaptive.coalescePartitions.minPartitionNum").isEmpty)
   }
 }
