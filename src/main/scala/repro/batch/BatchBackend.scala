@@ -61,17 +61,23 @@ import repro.core._
   *    shuffle, and no hub edge crosses as a record of its own: each travels,
   *    as a source id and a weight, inside its receiver's vertex record, in
   *    every round's shuffle and every spill;
-  *  - `shadowNodes`: the [[ShadowNodes]] mirror split, applied as
-  *    preprocessing and undone on output.
+  *  - `shadowNodes`: the [[ShadowNodes]] mirror split, done in the round-0
+  *    join ([[ShadowNodes.split]]), with no preprocessing pass; the output
+  *    keeps the ids up to the node table's largest, dropping the mirrors.
   *
   * Edges whose source or destination has no node row are dropped, with or
   * without strategies. A vertex id that appears twice in the node table
-  * fails the round with an `IllegalArgumentException` naming the id, and an
-  * edge weight that is NaN or infinite fails the run with one naming the
-  * edge, raised while the edge lists are built.
+  * fails the round with an `IllegalArgumentException` naming the id, a NaN
+  * or infinite edge weight fails the run with one naming the edge, and
+  * features not `model.inDim` wide with one naming the vertex
+  * ([[GnnModel.input]]).
   */
 object BatchBackend {
 
+  /** Both hub strategies take their hubs from one [[ShadowNodes.hubs]] call
+    * on the input edges. With `broadcastHubs` and `shadowNodes` both on,
+    * shadow-nodes splits every hub and broadcast has none left.
+    */
   final case class BatchOpts(
       partialGather: Boolean = true,
       broadcastHubs: Boolean = false,
@@ -91,15 +97,15 @@ object BatchBackend {
           opts: BatchOpts = BatchOpts()): DataFrame = {
     import spark.implicits._
     lazy val thr = ShadowNodes.threshold(edges.count(), opts.numWorkers)
-    val (n0, e0) =
-      if (opts.shadowNodes) { val s = ShadowNodes.transform(spark, nodes, edges, thr); (s.nodes, s.edges) }
-      else (nodes, edges)
-    val hubs: Set[Long] = if (opts.broadcastHubs) ShadowNodes.hubs(e0, thr).keySet else Set.empty
+    val hubDeg = if (opts.broadcastHubs || opts.shadowNodes) ShadowNodes.hubs(edges, thr) else Map.empty[Long, Long]
+    val layout = if (opts.shadowNodes && hubDeg.nonEmpty)
+      Some(ShadowNodes.layout(hubDeg, thr, nodes.agg(max("id")).head().getLong(0))) else None
+    val hubs: Set[Long] = if (opts.shadowNodes) Set.empty else hubDeg.keySet
 
     // one row per vertex with its non-hub out-edges and its in-edges from
     // hubs, combined map-side: a hub edge is keyed by its receiver, any
     // other edge by its source; see [[EdgeLists]] for why not `collect_list`
-    val lists = e0.select("src", "dst", "w").as[(Long, Long, Double)].rdd
+    val lists = edges.select("src", "dst", "w").as[(Long, Long, Double)].rdd
       .map { case (src, dst, w) =>
         require(java.lang.Double.isFinite(w), s"non-finite weight $w on edge $src -> $dst")
         if (hubs(src)) (dst, (src, w, true)) else (src, (dst, w, false))
@@ -108,32 +114,32 @@ object BatchBackend {
         (a: EdgeLists, b: EdgeLists) => a.addAll(b))
       .map { case (id, l) => (id, l.out.ids, l.out.ws, l.hubIn.ids, l.hubIn.ws) }
       .toDF("id", "dsts", "ws", "hubSrcs", "hubWs")
-    var cur = n0.select(col("id"), col("feat").as("h"))
+    var cur = nodes.select(col("id"), col("feat").as("h"))
     model.layers.zipWithIndex.foreach { case (layer, round) =>
       // the hubs' payloads alone (a hub with no node row has none), read
       // from the node table in round 0 so the join is not run twice
       val hubPayloads = if (hubs.isEmpty) None else Some(spark.sparkContext.broadcast(
         cur.filter(col("id").isInCollection(hubs)).select("id", "h").as[(Long, Array[Double])]
-          .map { case (id, h) => (id, layer.scatterPayload(h)) }.collect().toMap))
-      val rows = if (round == 0) withEdgeLists(spark, cur, lists) else cur.as[VertexRow]
+          .map { case (id, h) => (id, layer.scatterPayload(if (round == 0) model.input(id, h) else h)) }
+          .collect().toMap))
+      val rows = if (round == 0) withEdgeLists(spark, cur, lists, model, layout) else cur.as[VertexRow]
       val last = round == model.layers.size - 1
       cur = materialize(spark, runRound(spark, rows, hubPayloads, layer, last, opts), opts, round)
       hubPayloads.foreach(_.destroy())
     }
-    // drop shadow mirrors: only ids present in the original node table
-    val result =
-      if (opts.shadowNodes) cur.join(nodes.select("id"), Seq("id"))
-      else cur
-    result.select("id", "h")
+    // drop the shadow mirrors, the only ids above the node table's
+    layout.fold(cur)(l => cur.filter(col("id") <= l.maxId)).select("id", "h")
   }
 
   /** The vertex records of round 0: a reduce-side join, as in MapReduce,
     * where a vertex's state row and its edge-list row (at most one; none if
     * it has no list) meet in one group, so each task sorts once where a
     * sort-merge join sorts both sides and holds two sort pages. A list whose
-    * vertex has no node row meets no state and is dropped.
+    * vertex has no node row meets no state and is dropped. Under
+    * shadow-nodes each vertex is split here, as its state meets its list.
     */
-  private def withEdgeLists(spark: SparkSession, states: DataFrame, lists: DataFrame): Dataset[VertexRow] = {
+  private def withEdgeLists(spark: SparkSession, states: DataFrame, lists: DataFrame, model: GnnModel,
+                            layout: Option[ShadowNodes.Layout]): Dataset[VertexRow] = {
     import spark.implicits._
     val noLists = Seq("dsts" -> "array<bigint>", "ws" -> "array<double>", "hubSrcs" -> "array<bigint>",
       "hubWs" -> "array<double>").map { case (c, t) => lit(null).cast(t).as(c) }
@@ -143,7 +149,11 @@ object BatchBackend {
       .groupBy("id").as[Long, VertexRow]
       .flatMapGroups { (_, group) =>
         val (stateRows, listRows) = group.toList.partition(_._2 != null)
-        stateRows.iterator.map(st => listRows.headOption.fold(st)(_.copy(_2 = st._2)))
+        stateRows.iterator.flatMap { st =>
+          val row = listRows.headOption.getOrElse(st).copy(_2 = model.input(st._1, st._2))
+          layout.fold(Iterator.single(row))(l => ShadowNodes.split(l, row._1, row._2, row._3, row._4)
+            .map { case (id, h, dsts, ws) => (id, h, dsts, ws, row._5, row._6) })
+        }
       }
   }
 

@@ -1,28 +1,23 @@
 package repro.batch
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
+import scala.collection.immutable.LongMap
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-/** The paper's shadow-nodes strategy: an exact preprocessing transform for
-  * vertices with large out-degree.
-  *
-  * A hub vertex `u` with out-degree d > threshold is duplicated into
-  * `ceil(d / threshold)` mirrors; each mirror takes an even slice of the
-  * out-edges and a *copy of all in-edges* (so every mirror computes exactly
-  * `u`'s state each layer, and the union of the mirrors' out-messages equals
-  * `u`'s). Mirror group 0 keeps the original id, so downstream consumers
-  * simply drop the extra mirror ids after inference. Hubs and mirror ids
-  * are laid out on the driver, from the [[hubs]] map.
+/** The paper's shadow-nodes strategy, exact, for vertices with large
+  * out-degree. A hub `u` with out-degree d > threshold is split into
+  * `ceil(d / threshold)` groups; each takes an even slice of the out-edges
+  * and a *copy of all in-edges*, so every group computes exactly `u`'s state
+  * each layer and the groups' out-messages together are `u`'s. Group 0 keeps
+  * `u`'s id; the mirrors get ids past `max(id)`, laid out on the driver
+  * ([[layout]]). The split runs in `BatchBackend`'s round-0 join ([[split]]).
   */
 object ShadowNodes {
 
-  /** `maxOutAfterSplit` is the max out-degree after the hub split but before
-    * in-edge duplication (copies for edges *into* other hubs legitimately
-    * inflate sender out-degrees afterwards — the overhead the paper
-    * acknowledges); it is the quantity the threshold bounds.
-    */
-  final case class Shadowed(nodes: DataFrame, edges: DataFrame, nMirrors: Long, nHubs: Long, maxOutAfterSplit: Long)
+  /** Each hub's group ids, its own first, and the node table's largest id. */
+  final case class Layout(groups: LongMap[Array[Long]], maxId: Long) {
+    def mirrors: Long = groups.valuesIterator.map(_.length - 1L).sum
+  }
 
   /** The paper's λ in the hub threshold. */
   val Lambda = 0.1
@@ -39,50 +34,43 @@ object ShadowNodes {
     edges.groupBy("src").agg(count(lit(1)).as("deg")).filter(col("deg") > thr)
       .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
 
-  /** 0 for an empty edge table. */
-  def maxOutDegree(edges: DataFrame): Long =
-    edges.groupBy("src").count().agg(coalesce(max("count"), lit(0L))).head().getLong(0)
-
-  def transform(spark: SparkSession, nodes: DataFrame, edges: DataFrame, thr: Long): Shadowed = {
-    import spark.implicits._
-    val hubDeg = hubs(edges, thr)
-    if (hubDeg.isEmpty) return Shadowed(nodes, edges, 0L, 0L, maxOutDegree(edges))
-
-    // contiguous mirror-id ranges per hub, in hub-id order, after max(id)
+  /** Contiguous mirror-id ranges per hub, in hub-id order, from `maxId + 1`. */
+  def layout(hubDeg: Map[Long, Long], thr: Long, maxId: Long): Layout = {
     val nGroups = hubDeg.toSeq.sorted.map { case (hub, deg) => hub -> ((deg - 1) / thr + 1) }
     val nMirrors = nGroups.map(_._2 - 1).sum
-    val maxId = nodes.agg(max("id")).head().getLong(0)
     require(maxId <= Long.MaxValue - nMirrors,
       s"shadow-node mirror ids overflow: max vertex id $maxId + $nMirrors mirrors exceeds Long.MaxValue")
-    val index = nGroups.zip(nGroups.scanLeft(maxId + 1) { case (base, (_, n)) => base + n - 1 })
-      .map { case ((hub, n), base) => (hub, n, base) }
-    val hubsIdx = index.toDF("hub", "nGroups", "mirrorBase")
-    val hubIds = hubDeg.keySet
-    // mirrors g = 1..nGroups-1 get fresh ids; g = 0 is the original id
-    val mirrors = index.flatMap { case (hub, n, base) => (1L until n).map(g => hub -> (base + g - 1)) }
+    val bases = nGroups.scanLeft(maxId + 1) { case (base, (_, n)) => base + n - 1 }
+    val groups = nGroups.zip(bases).map { case ((hub, n), base) => hub -> (hub +: (1L until n).map(base + _ - 1)).toArray }
+    Layout(LongMap(groups: _*), maxId)
+  }
 
-    // 1. out-edges of a hub are split evenly across its mirrors
-    val grpW = Window.partitionBy("src").orderBy("dst", "w")
-    val hubOut = edges.join(hubsIdx, edges("src") === hubsIdx("hub"))
-      .withColumn("g", pmod(row_number().over(grpW).cast("long"), col("nGroups")))
-      .select(
-        when(col("g") === 0, col("src")).otherwise(col("mirrorBase") + (col("g") - 1)).as("src"),
-        col("dst"), col("w"))
-    val edges1 = edges.filter(!col("src").isInCollection(hubIds)).union(hubOut)
-    val maxOutAfterSplit = maxOutDegree(edges1)
+  /** Slice `g` of a `d`-edge list cut into `n` even slices, as `[from, until)`. */
+  def slices(d: Int, n: Int): Iterator[(Int, Int)] =
+    Iterator.tabulate(n)(g => ((g.toLong * d / n).toInt, ((g + 1L) * d / n).toInt))
 
-    // 2. in-edges of a hub are copied to every mirror (incl. the original)
-    val allMirrorIds = (mirrors ++ hubIds.map(h => h -> h)).toDF("hub", "mirror")
-    val hubIn = edges1.join(allMirrorIds, edges1("dst") === allMirrorIds("hub"))
-      .select(col("src"), col("mirror").as("dst"), col("w"))
-    val edges2 = edges1.filter(!col("dst").isInCollection(hubIds)).union(hubIn)
-
-    // 3. mirror vertices copy the hub's full node row
-    val mirrorIds = mirrors.toDF("hub", "mirror")
-    val otherCols = nodes.columns.filter(_ != "id").toSeq
-    val mirrorNodes = nodes.join(mirrorIds, nodes("id") === mirrorIds("hub"))
-      .select(col("mirror").as("id") +: otherCols.map(nodes(_)): _*)
-
-    Shadowed(nodes.union(mirrorNodes), edges2, nMirrors, hubDeg.size.toLong, maxOutAfterSplit)
+  /** One vertex's records after the split, from its state row `h` and its
+    * out-edge list. A hub becomes one record per group, each with the hub's
+    * state and the group's slice of the list. Then, in every record, an
+    * out-edge into a hub goes to each of its groups, and one to an id above
+    * `maxId` is dropped: no node row has that id, and a mirror's must not
+    * take its message. A row that needs neither comes back as it is.
+    */
+  def split(l: Layout, id: Long, h: Array[Double], dsts: Array[Long], ws: Array[Double])
+      : Iterator[(Long, Array[Double], Array[Long], Array[Double])] = {
+    // a hub has two groups or more, and an out-edge list
+    val gs = l.groups.getOrElse(id, Array(id))
+    if (gs.length == 1 && (dsts == null || dsts.forall(d => d <= l.maxId && !l.groups.contains(d))))
+      Iterator.single((id, h, dsts, ws))
+    else slices(dsts.length, gs.length).zip(gs.iterator).map { case ((from, until), g) =>
+      val out = new EdgeList
+      (from until until).foreach { i =>
+        if (dsts(i) <= l.maxId) l.groups.get(dsts(i)) match {
+          case Some(copies) => copies.foreach(out.add(_, ws(i)))
+          case None         => out.add(dsts(i), ws(i))
+        }
+      }
+      (g, h, out.ids, out.ws)
+    }
   }
 }

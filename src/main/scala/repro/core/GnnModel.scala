@@ -17,6 +17,14 @@ final case class GnnModel(layers: Seq[GasLayer], multiLabel: Boolean = false) ex
   def outDim: Int = layers.last.outDim
   def hops: Int = layers.size
 
+  /** `feat` as vertex `id`'s input, failing with an error that names layer 0,
+    * its width and the vertex if `feat` is not `inDim` wide.
+    */
+  def input(id: Long, feat: Array[Double]): Array[Double] = {
+    require(feat.length == inDim, s"layer 0 expects features of width $inDim, vertex $id has ${feat.length}")
+    feat
+  }
+
   /** Single-label prediction from final-layer logits. */
   def predict(logits: Array[Double]): Int = {
     var best = 0; var i = 1

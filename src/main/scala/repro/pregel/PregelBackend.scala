@@ -46,7 +46,7 @@ object PregelBackend {
   def run(spark: SparkSession, nodes: DataFrame, edges: DataFrame, model: GnnModel,
           opts: PregelOpts = PregelOpts()): DataFrame = {
     val rows = nodes.select("id", "feat").rdd
-      .map(r => (r.getLong(0), r.getSeq[Double](1).toArray))
+      .map { r => val id = r.getLong(0); (id, model.input(id, r.getSeq[Double](1).toArray)) }
     // the partitioning Graph() would otherwise apply itself; it puts every
     // row of an id in one partition, so duplicates are caught while the
     // vertex partitions are built, with no extra job or shuffle

@@ -10,16 +10,21 @@ import repro.pregel.PregelBackend
 
 /** Both backends against `LocalInference` on small generated graphs with
   * the shapes that break graph code: an empty edge table, vertices with no
-  * edges at all, self-loops and multi-edges. Vertex ids are not the local
-  * indices (`id = 7·i + 3`). MR also runs the broadcast and shadow-node
-  * strategies, where almost every source is a hub.
+  * edges at all, self-loops, multi-edges and dangling edges. Vertex ids are
+  * not the local indices (`id = 7·i + 3`). MR also runs the broadcast and
+  * shadow-node strategies, where almost every source is a hub, with and
+  * without the spill.
   */
 class GeneratedGraphSpec extends SparkSpec {
 
-  /** `n` vertices, of which only the first `linked` may have edges. */
-  private final case class SmallGraph(n: Int, linked: Int, edges: Seq[(Int, Int, Double)], seed: Long, gat: Boolean) {
+  /** `n` vertices, of which only the first `linked` may have edges, and
+    * `dangling` edges by vertex id, each with an end that has no node row.
+    */
+  private final case class SmallGraph(n: Int, linked: Int, edges: Seq[(Int, Int, Double)],
+                                      dangling: Seq[(Long, Long, Double)], seed: Long, gat: Boolean) {
     override def toString: String =
-      s"SmallGraph(n=$n, linked=$linked, seed=$seed, gat=$gat, edges=${edges.mkString(" ")})"
+      s"SmallGraph(n=$n, linked=$linked, seed=$seed, gat=$gat, edges=${edges.mkString(" ")}, " +
+        s"dangling=${dangling.mkString(" ")})"
   }
 
   private val genGraph: Gen[SmallGraph] = for {
@@ -33,11 +38,20 @@ class GeneratedGraphSpec extends SparkSpec {
     } yield (s, d, w))
     loops <- Gen.someOf(0 until linked).map(_.toSeq.map(i => (i, i, 1.0)))
     copies <- Gen.choose(0, drawn.size)
+    // ids with no node row: between two vertices' ids, or just above the
+    // largest, where shadow-nodes puts its mirrors
+    maxId = id(linked + isolated - 1)
+    missing = Gen.oneOf(Gen.choose(1L, 4L).map(maxId + _), Gen.choose(0, linked + isolated - 1).map(id(_) + 1))
+    vertex = Gen.choose(0, linked - 1).map(id)
+    dangling <- Gen.frequency(1 -> Gen.const(Nil), 2 -> Gen.choose(1, 4).flatMap(Gen.listOfN(_, for {
+      (s, d) <- Gen.oneOf(Gen.zip(vertex, missing), Gen.zip(missing, vertex), Gen.zip(missing, missing))
+      w <- Gen.choose(0.1, 2.0)
+    } yield (s, d, w))))
     seed <- Gen.choose(0L, 1000L)
     gat <- Gen.oneOf(true, false)
   } yield {
     val es = if (m == 0) Nil else drawn ++ loops ++ drawn.take(copies)
-    SmallGraph(linked + isolated, linked, es, seed, gat)
+    SmallGraph(linked + isolated, linked, es, dangling, seed, gat)
   }
 
   private def id(i: Int): Long = 7L * i + 3
@@ -48,28 +62,29 @@ class GeneratedGraphSpec extends SparkSpec {
     val rng = new scala.util.Random(g.seed)
     val feats = Array.fill(g.n)(Array.fill(4)(rng.nextGaussian()))
     val nodes = feats.indices.map(i => (id(i), feats(i))).toDF("id", "feat")
-    val edges = g.edges.map { case (s, d, w) => (id(s), id(d), w) }.toDF("src", "dst", "w")
+    val valid = g.edges.map { case (s, d, w) => (id(s), id(d), w) }
+    val edges = (valid ++ g.dangling).toDF("src", "dst", "w")
     val local = LocalGraph(g.n, feats.indices.map(id).toArray, g.edges.map(_._1).toArray,
       g.edges.map(_._2).toArray, g.edges.map(_._3).toArray, DMat.fromRows(feats.toIndexedSeq), null,
       new Array[Int](g.n))
     val model: GnnModel = if (g.gat) Models.gat(Seq(4, 4, 3), heads = 2) else Models.sage(Seq(4, 4, 3))
     val ref = LocalInference.forward(local, model)
-    for (pg <- Seq(true, false); spill <- Seq(true, false)) {
+    // at the default 64 workers these graphs have threshold 1: every source
+    // with two out-edges or more is a hub, a dangling one included
+    for (pg <- Seq(true, false); spill <- Seq(true, false);
+         strategy <- Seq(BatchOpts(), BatchOpts(broadcastHubs = true), BatchOpts(shadowNodes = true))) {
       val dir = if (spill) Some(java.nio.file.Files.createTempDirectory("gen-graph").toString) else None
-      assertMatchesLocal(BatchBackend.run(spark, nodes, edges, model, BatchOpts(partialGather = pg, spillDir = dir)),
+      assertMatchesLocal(BatchBackend.run(spark, nodes, edges, model, strategy.copy(partialGather = pg, spillDir = dir)),
         local, ref, tol = 1e-8)
     }
-    // at the default 64 workers these graphs have threshold 1: every source
-    // with two out-edges or more is a hub
-    for (pg <- Seq(true, false); hubs <- Seq(BatchOpts(broadcastHubs = true), BatchOpts(shadowNodes = true)))
-      assertMatchesLocal(BatchBackend.run(spark, nodes, edges, model, hubs.copy(partialGather = pg)),
-        local, ref, tol = 1e-8)
-    assertMatchesLocal(PregelBackend.run(spark, nodes, edges, model), local, ref, tol = 1e-8)
+    // Pregel gets the valid edges alone: GraphX gives a dangling edge's
+    // missing end a null state, and the payload of null throws
+    assertMatchesLocal(PregelBackend.run(spark, nodes, valid.toDF("src", "dst", "w"), model), local, ref, tol = 1e-8)
   }
 
   test("an empty edge table: every vertex keeps only its own state") {
-    check(SmallGraph(n = 5, linked = 5, edges = Nil, seed = 1L, gat = false))
-    check(SmallGraph(n = 5, linked = 5, edges = Nil, seed = 2L, gat = true))
+    check(SmallGraph(n = 5, linked = 5, edges = Nil, dangling = Nil, seed = 1L, gat = false))
+    check(SmallGraph(n = 5, linked = 5, edges = Nil, dangling = Nil, seed = 2L, gat = true))
   }
 
   test("generated graphs: MR with and without partial-gather and spill, and Pregel, match LocalInference") {

@@ -238,6 +238,38 @@ class BatchBackendSpec extends SparkSpec {
     }
   }
 
+  test("under shadow-nodes a dangling edge to a mirror's id changes nothing") {
+    import spark.implicits._
+    // at one worker the threshold is 1, so hub 0 -> 1..9 is split and its
+    // mirrors take ids 10 and up; 5 -> 10 has no node row at its end
+    val rng = new scala.util.Random(12L)
+    val feats = Array.fill(10)(Array.fill(6)(rng.nextGaussian()))
+    val valid = (1L to 9L).map(d => (0L, d, 1.0)) :+ ((3L, 0L, 1.0))
+    val nodes = feats.indices.map(i => (i.toLong, feats(i))).toDF("id", "feat")
+    val local = LocalGraph(feats.length, feats.indices.map(_.toLong).toArray, valid.map(_._1.toInt).toArray,
+      valid.map(_._2.toInt).toArray, valid.map(_._3).toArray, DMat.fromRows(feats.toIndexedSeq), null,
+      new Array[Int](feats.length))
+    val ref = LocalInference.forward(local, sage2)
+    val edges = (valid :+ ((5L, 10L, 1.0))).toDF("src", "dst", "w")
+    for (shadow <- Seq(false, true); pg <- Seq(true, false))
+      assertMatchesLocal(BatchBackend.run(spark, nodes, edges, sage2,
+        BatchOpts(partialGather = pg, shadowNodes = shadow, numWorkers = 1)), local, ref, tol = 1e-8)
+  }
+
+  test("a feature vector of the wrong width fails the run, naming layer 0, the width and the vertex") {
+    import org.apache.spark.sql.functions.{col, slice, when}
+    // vertex 6 is a hub at 8 workers, so the broadcast run meets it among
+    // the hub payloads, the others in the round-0 join
+    val nodes = edgeCases.nodes.withColumn("feat", when(col("id") === 6L, slice(col("feat"), 1, 5))
+      .otherwise(col("feat")))
+    (edgeCaseOpts :+ BatchOpts(shadowNodes = true, numWorkers = 8)).foreach { o =>
+      val err = intercept[Exception](BatchBackend.run(spark, nodes, edgeCases.edges, sage2, o).collect())
+      val causes = Iterator.iterate[Throwable](err)(_.getCause).takeWhile(_ != null).toSeq
+      assert(causes.exists(c => c.isInstanceOf[IllegalArgumentException] &&
+        c.getMessage.contains("layer 0 expects features of width 6, vertex 6 has 5")), s"$o: $err")
+    }
+  }
+
   /** Each leaf column of the parquet files in `dir`, by its dotted path, and
     * whether any of its column chunks has a dictionary page.
     */

@@ -1,14 +1,50 @@
 package repro.batch
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.graphgen.GraphGen
 
 class ShadowNodesSpec extends SparkSpec {
 
+  private type Rec = (Long, Array[Double], Array[Long], Array[Double])
+
   private lazy val spec = GraphGen.powerLaw(300, avgDeg = 10, inSkew = false, seed = 81L)
   private lazy val nodes = GraphGen.nodes(spark, spec).cache()
   private lazy val edges = GraphGen.edges(spark, spec).cache()
+
+  private def state(v: Long): Array[Double] = Array(v.toDouble, 1.0)
+
+  /** Each vertex's out-edge list, null when it has none, as the round-0
+    * join hands it to the split.
+    */
+  private def listsOf(es: Seq[(Long, Long, Double)], vertices: Seq[Long]): Map[Long, (Array[Long], Array[Double])] = {
+    val bySrc = es.groupBy(_._1)
+    vertices.map { v =>
+      v -> bySrc.get(v).fold[(Array[Long], Array[Double])]((null, null))(l => (l.map(_._2).toArray, l.map(_._3).toArray))
+    }.toMap
+  }
+
+  private def splitAll(l: ShadowNodes.Layout, lists: Map[Long, (Array[Long], Array[Double])]): Map[Long, Seq[Rec]] =
+    lists.map { case (v, (dsts, ws)) => v -> ShadowNodes.split(l, v, state(v), dsts, ws).toSeq }
+
+  /** Without Spark: vertices 0-299, every 25th with 40-99 out-edges and the
+    * rest with 0-9, multi-edges, self-loops and repeated weights included.
+    * At threshold 30 the first kind are the hubs.
+    */
+  private val thr = 30L
+  private val localEdges: Seq[(Long, Long, Double)] = {
+    val rng = new scala.util.Random(81L)
+    (0L until 300L).flatMap { v =>
+      val d = if (v % 25 == 0) 40 + rng.nextInt(60) else rng.nextInt(10)
+      Seq.fill(d)((v, rng.nextInt(300).toLong, rng.nextInt(3) + 0.5))
+    }
+  }
+  private val localLists = listsOf(localEdges, 0L until 300L)
+  private val localHubs = localEdges.groupBy(_._1).map { case (v, es) => v -> es.size.toLong }.filter(_._2 > thr)
+  private val localLayout = ShadowNodes.layout(localHubs, thr, maxId = 299L)
+  private val localSplit = splitAll(localLayout, localLists)
+
+  private def pairs(dsts: Array[Long], ws: Array[Double]): Seq[(Long, Double)] =
+    if (dsts == null) Nil else dsts.toSeq.zip(ws.toSeq)
 
   test("threshold heuristic: lambda * |E| / workers") {
     assert(ShadowNodes.threshold(1000000, 100) == 1000)
@@ -17,93 +53,105 @@ class ShadowNodesSpec extends SparkSpec {
   }
 
   test("no hubs above threshold → graph unchanged") {
-    val s = ShadowNodes.transform(spark, nodes, edges, thr = 1000000)
-    assert(s.nHubs == 0 && s.nMirrors == 0)
-    assert(s.edges.count() == edges.count() && s.nodes.count() == nodes.count())
+    val none = ShadowNodes.layout(Map.empty, thr, maxId = 299L)
+    assert(none.mirrors == 0)
+    localLists.foreach { case (v, (dsts, ws)) =>
+      val h = state(v)
+      val recs = ShadowNodes.split(none, v, h, dsts, ws).toSeq
+      assert(recs.size == 1 && recs.head._1 == v && (recs.head._2 eq h) && (recs.head._3 eq dsts) && (recs.head._4 eq ws))
+    }
+  }
+
+  test("a non-hub row with no hub destinations comes back unchanged") {
+    val plain = localLists.filter { case (v, (dsts, _)) =>
+      !localHubs.contains(v) && (dsts == null || dsts.forall(d => !localHubs.contains(d)))
+    }
+    assert(plain.size > 10, "fixture has almost no plain rows — weak test")
+    plain.foreach { case (v, (dsts, ws)) =>
+      val recs = localSplit(v)
+      assert(recs.size == 1 && recs.head._1 == v && (recs.head._3 eq dsts) && (recs.head._4 eq ws))
+    }
   }
 
   test("after the split no vertex exceeds the out-degree threshold") {
-    val thr = 30L
-    val s = ShadowNodes.transform(spark, nodes, edges, thr)
-    assert(s.nHubs > 0, "fixture has no hubs — weak test")
-    // measured before in-edge duplication: copies of edges into *other*
-    // hubs inflate sender out-degrees afterwards (the paper's acknowledged
-    // overhead), but each mirror's own out-edge slice is capped
-    assert(s.maxOutAfterSplit <= thr, s"max out-degree ${s.maxOutAfterSplit} still above $thr")
+    assert(localHubs.nonEmpty, "fixture has no hubs — weak test")
+    localHubs.foreach { case (hub, deg) =>
+      val recs = localSplit(hub)
+      assert(recs.size == (deg + thr - 1) / thr)
+      // the slice's own edges, not the copies it sends to other hubs'
+      // mirrors (the paper's acknowledged overhead), all with ids above 299
+      recs.foreach { r =>
+        val own = pairs(r._3, r._4).count(_._1 <= localLayout.maxId)
+        assert(own <= thr, s"hub $hub: a slice holds $own edges, above $thr")
+      }
+    }
   }
 
   test("out-edge multiset is preserved (dst,w pairs per original graph)") {
-    val thr = 30L
-    val s = ShadowNodes.transform(spark, nodes, edges, thr)
-    // collapsing mirror srcs back: total out-edges must match, and the
-    // multiset of (dst expanded) differs only by hub-dst duplication.
-    // src side: every original edge appears exactly once before in-edge copy,
-    // so counting by dst over NON-hub dsts must match the original exactly.
-    val hubDsts = edges.groupBy("src").count().filter(col("count") > thr)
-      .select(col("src").as("h")).collect().map(_.getLong(0)).toSet
-    val origIn = edges.filter(!col("dst").isInCollection(hubDsts))
-      .groupBy("dst").count().collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    val newIn = s.edges.filter(!col("dst").isInCollection(hubDsts))
-      .groupBy("dst").count().collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    // non-hub original vertices keep their exact in-degree (mirror ids are new)
-    val mirrorsStart = nodes.agg(max("id")).head().getLong(0) + 1
-    origIn.foreach { case (d, c) => assert(newIn.getOrElse(d, 0L) == c, s"dst $d in-degree changed") }
-    newIn.keys.filter(_ < mirrorsStart).foreach(d => assert(origIn.contains(d)))
+    localHubs.keys.foreach { hub =>
+      // a copy to a hub's mirror has an id above 299, and its copy to the
+      // hub's own id stands for the original edge
+      val got = localSplit(hub).flatMap(r => pairs(r._3, r._4)).filter(_._1 <= localLayout.maxId)
+      val (dsts, ws) = localLists(hub)
+      assert(got.sorted == pairs(dsts, ws).sorted, s"hub $hub")
+    }
   }
 
   test("hub in-edges are copied to every mirror") {
-    val thr = 30L
-    val s = ShadowNodes.transform(spark, nodes, edges, thr)
-    val outDeg = edges.groupBy("src").agg(count(lit(1)).as("deg"))
-    val hubs = outDeg.filter(col("deg") > thr).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    val origInDeg = edges.groupBy("dst").count().collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    // total in-edges pointing at hub h (over all its mirrors) = indeg(h) * nGroups
-    val base = nodes.agg(max("id")).head().getLong(0) + 1
-    val totalNewIn = s.edges.groupBy("dst").count().collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    hubs.foreach { case (h, deg) =>
-      val nGroups = math.ceil(deg.toDouble / thr).toLong
-      val inH = origInDeg.getOrElse(h, 0L)
-      val own = totalNewIn.getOrElse(h, 0L)
-      val mirrorIn = totalNewIn.filter { case (id, _) => id >= base }.values.sum
-      assert(own == inH, s"hub $h kept in-degree $own != $inH")
-      // can't attribute mirrors per hub without internals; check totals below
-      assert(nGroups >= 2 && mirrorIn >= 0)
+    var copied = 0
+    localLists.keys.foreach { v =>
+      val sent = localSplit(v).flatMap(r => pairs(r._3, r._4))
+      localHubs.keys.foreach { hub =>
+        val original = localEdges.filter(e => e._1 == v && e._2 == hub).map(_._3).sorted
+        localLayout.groups(hub).foreach { g =>
+          assert(sent.filter(_._1 == g).map(_._2).sorted == original, s"$v -> hub $hub, group id $g")
+        }
+        copied += original.size
+      }
     }
-    // global balance: extra in-edges == Σ_hub indeg(h) * (nGroups(h)-1)
-    val expectExtra = hubs.map { case (h, deg) =>
-      origInDeg.getOrElse(h, 0L) * (math.ceil(deg.toDouble / thr).toLong - 1)
-    }.sum
-    assert(s.edges.count() == edges.count() + expectExtra)
+    assert(copied > 0, "fixture has no edges into hubs — weak test")
+  }
+
+  test("an out-edge to an id above the largest vertex id is dropped, mirror ids included") {
+    // hub 0 takes mirrors 10 and 11; 5 -> 10 and 5 -> 12 point past node 9
+    val l = ShadowNodes.layout(Map(0L -> 5L), thr = 2L, maxId = 9L)
+    assert(l.groups(0L).toSeq == Seq(0L, 10L, 11L))
+    val recs = ShadowNodes.split(l, 5L, state(5L), Array(10L, 3L, 12L, 0L), Array(1.0, 2.0, 3.0, 4.0)).toSeq
+    assert(recs.size == 1 && pairs(recs.head._3, recs.head._4) == Seq(3L -> 2.0, 0L -> 4.0, 10L -> 4.0, 11L -> 4.0))
   }
 
   test("mirror vertices copy the hub's features (oracle row count check)") {
-    val thr = 30L
-    val s = ShadowNodes.transform(spark, nodes, edges, thr)
-    assert(s.nodes.count() == nodes.count() + s.nMirrors)
-    // mirror feature rows equal some hub's features
-    val base = nodes.agg(max("id")).head().getLong(0) + 1
-    val hubFeats = nodes.collect().map(r => r.getLong(0) -> r.getSeq[Double](1)).toMap
-    s.nodes.filter(col("id") >= base).collect().foreach { r =>
-      assert(hubFeats.values.exists(_ == r.getSeq[Double](1)), "mirror features not copied from a hub")
+    import spark.implicits._
+    val hubs = ShadowNodes.hubs(edges, thr)
+    val ids = nodes.select("id").as[Long].collect().toSeq
+    val l = ShadowNodes.layout(hubs, thr, ids.max)
+    val recs = splitAll(l, listsOf(edges.select("src", "dst", "w").as[(Long, Long, Double)].collect().toSeq, ids))
+    recs.foreach { case (v, rs) =>
+      assert(rs.map(_._1) == l.groups.get(v).fold(Seq(v))(_.toSeq), s"vertex $v")
+      rs.foreach(r => assert(r._2.toSeq == state(v).toSeq, s"vertex $v: a record lost its state"))
     }
+    Oracle.assertEquivalent(
+      Seq(recs.values.map(_.size.toLong).sum).toDF("n"),
+      "SELECT (SELECT COUNT(*) FROM nodes) + (SELECT CAST(SUM(CEIL(deg / 30.0) - 1) AS BIGINT) " +
+        "FROM (SELECT COUNT(*) AS deg FROM edges GROUP BY src HAVING COUNT(*) > 30)) AS n",
+      "nodes" -> nodes.select("id"), "edges" -> edges)
   }
 
   test("edge conservation cross-checked against DuckDB (oracle)") {
-    val thr = 30L
-    val s = ShadowNodes.transform(spark, nodes, edges, thr)
-    // per-dst in-degree of untouched (non-hub) destinations must agree with
-    // DuckDB computed over the ORIGINAL edge table.
-    val hubDsts = edges.groupBy("src").count().filter(col("count") > thr)
-      .select(col("src")).collect().map(_.getLong(0)).toSet
-    val mirrorsStart = nodes.agg(max("id")).head().getLong(0) + 1
-    val sparkSide = s.edges
-      .filter(!col("dst").isInCollection(hubDsts) && col("dst") < mirrorsStart)
-      .groupBy("dst").agg(count(lit(1)).as("deg"))
-    val hubList = if (hubDsts.isEmpty) "-1" else hubDsts.mkString(",")
+    import spark.implicits._
+    val hubs = ShadowNodes.hubs(edges, thr)
+    assert(hubs.nonEmpty, "fixture has no hubs — weak test")
+    val ids = nodes.select("id").as[Long].collect().toSeq
+    val l = ShadowNodes.layout(hubs, thr, ids.max)
+    val recs = splitAll(l, listsOf(edges.select("src", "dst", "w").as[(Long, Long, Double)].collect().toSeq, ids))
+    // per-dst in-degree of non-hub destinations after the split must agree
+    // with DuckDB computed over the ORIGINAL edge table
+    val inDeg = recs.values.flatten.flatMap(r => Option(r._3).getOrElse(Array.emptyLongArray))
+      .filter(d => d <= l.maxId && !hubs.contains(d)).groupBy(identity).map { case (d, n) => (d, n.size.toLong) }
     Oracle.assertEquivalent(
-      sparkSide,
+      inDeg.toSeq.toDF("dst", "deg"),
       s"SELECT CAST(dst AS BIGINT) AS dst, COUNT(*) AS deg FROM edges " +
-        s"WHERE CAST(dst AS BIGINT) NOT IN ($hubList) GROUP BY dst",
+        s"WHERE CAST(dst AS BIGINT) NOT IN (${hubs.keys.mkString(",")}) GROUP BY dst",
       "edges" -> edges)
   }
 
@@ -118,19 +166,14 @@ class ShadowNodesSpec extends SparkSpec {
   }
 
   test("mirror ids past Long.MaxValue fail before the split, naming max id and mirror count") {
-    import spark.implicits._
     // hub 0 has out-degree 9: at threshold 3 it needs two extra mirrors
-    val edges = (1L to 9L).map(d => (0L, d, 1.0)).toDF("src", "dst", "w")
-    def nodesUpTo(maxId: Long) = ((0L until 10L) :+ maxId).map(id => (id, Array(1.0, id.toDouble))).toDF("id", "feat")
-    val err = intercept[IllegalArgumentException] {
-      ShadowNodes.transform(spark, nodesUpTo(Long.MaxValue - 1), edges, thr = 3L)
-    }
+    val hubs = Map(0L -> 9L)
+    val err = intercept[IllegalArgumentException](ShadowNodes.layout(hubs, thr = 3L, maxId = Long.MaxValue - 1))
     assert(err.getMessage.contains(s"max vertex id ${Long.MaxValue - 1}") && err.getMessage.contains("2 mirrors"),
       err.getMessage)
     // one id lower, the two mirrors end exactly at Long.MaxValue
-    val s = ShadowNodes.transform(spark, nodesUpTo(Long.MaxValue - 2), edges, thr = 3L)
-    assert(s.nMirrors == 2)
-    assert(s.nodes.select("id").filter(col("id") > Long.MaxValue - 2).as[Long].collect().sorted.toSeq ==
-      Seq(Long.MaxValue - 1, Long.MaxValue))
+    val l = ShadowNodes.layout(hubs, thr = 3L, maxId = Long.MaxValue - 2)
+    assert(l.mirrors == 2)
+    assert(l.groups(0L).toSeq == Seq(0L, Long.MaxValue - 1, Long.MaxValue))
   }
 }

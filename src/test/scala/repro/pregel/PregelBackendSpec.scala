@@ -54,6 +54,18 @@ class PregelBackendSpec extends SparkSpec {
       c.getMessage.contains("duplicate vertex id 17")), s"$err")
   }
 
+  test("a feature vector of the wrong width fails the run, naming layer 0, the width and the vertex") {
+    import org.apache.spark.sql.functions.{col, slice, when}
+    val nodes = fix.nodes.withColumn("feat", when(col("id") === 17L, slice(col("feat"), 1, 5))
+      .otherwise(col("feat")))
+    Seq(sage2, gat2).foreach { m =>
+      val err = intercept[Exception](PregelBackend.run(spark, nodes, fix.edges, m).collect())
+      val causes = Iterator.iterate[Throwable](err)(_.getCause).takeWhile(_ != null).toSeq
+      assert(causes.exists(c => c.isInstanceOf[IllegalArgumentException] &&
+        c.getMessage.contains("layer 0 expects features of width 6, vertex 17 has 5")), s"$err")
+    }
+  }
+
   test("1-layer and 3-layer model depths both work") {
     val m1 = Models.sage(Seq(6, 3))
     val m3 = Models.sage(Seq(6, 5, 4, 3))
