@@ -30,7 +30,11 @@ import repro.core._
   *   3. reduce: one [[RoundFold]] folds a receiver's records, resolves its
   *      hub in-edges from the broadcast payloads, runs `apply_node` and
   *      hands the lists on with the new state, driven by `groupByKey` +
-  *      `flatMapGroups` for every layer. With **partial-gather** each map
+  *      `flatMapSortedGroups` for every layer: each group is sorted state
+  *      first (value-to-key conversion, the secondary sort of Lin & Dyer
+  *      2010, §3.4), in the sort the group-by runs anyway, so a `readsDst`
+  *      receiver has its payload before any message reaches it and folds
+  *      each message as it arrives. With **partial-gather** each map
   *      task first folds its own records per receiver in a hash map
   *      ([[RoundFold.combine]], in-mapper combining, the paper's combiner)
   *      and emits one record per receiver it saw: the state and lists, if
@@ -182,7 +186,7 @@ object BatchBackend {
     }))
     val out = sent
       .groupByKey(_.key)
-      .flatMapGroups((_, rs) => fold.finish(rs.foldLeft(fold.zero)(fold.reduce)))
+      .flatMapSortedGroups(col("h").isNull)((_, rs) => fold.finish(rs.foldLeft(fold.zero)(fold.reduce)))
       .toDF()
     if (last) out.select("id", "h") else out
   }
@@ -272,11 +276,12 @@ final case class RoundIn(key: Long, h: Array[Double], m: Array[Double], w: Doubl
                          dsts: Array[Long], ws: Array[Double], hubSrcs: Array[Long], hubWs: Array[Double])
 
 /** A receiver's partial fold: its state and lists (null until the state
-  * record arrives, and `key` with them) and the gathered messages, the
-  * resolved hub in-edges among them.
+  * record arrives, and `key` with them), the receiver's own payload for a
+  * `readsDst` layer (computed when the state is folded; null otherwise) and
+  * the gathered messages, the resolved hub in-edges among them.
   */
 final case class RoundBuf(key: Long, h: Array[Double], dsts: Array[Long], ws: Array[Double],
-                          hubSrcs: Array[Long], hubWs: Array[Double], agg: Agg)
+                          hubSrcs: Array[Long], hubWs: Array[Double], payload: Array[Double], agg: Agg)
 
 /** A vertex record after the round: the new state and both lists, handed on
   * unchanged (the last round keeps only `id` and `h`).
@@ -286,8 +291,7 @@ final case class RoundOut(id: Long, h: Array[Double], dsts: Array[Long], ws: Arr
 
 /** The fold of one MR round. `reduce` only gathers, so a map task may run it
   * over its own records first ([[combine]], the combiner); `finish` runs
-  * `apply_node`. A new message is merged on the left, so a [[Unioned]] list
-  * grows by prepending.
+  * `apply_node`.
   *
   * A receiver's hub in-edges arrive with its state and are resolved with
   * `hubPayload` (a lookup in the round's broadcast) when that state is
@@ -295,37 +299,45 @@ final case class RoundOut(id: Long, h: Array[Double], dsts: Array[Long], ws: Arr
   * exactly once: a state record that also carries a message comes from the
   * combiner, which has resolved them into it already.
   *
-  * For a `readsDst` layer the gathered messages, hub payloads included, are
-  * raw source payloads, kept as a [[Unioned]] list; `finish` computes the
-  * receiver's payload and runs `apply_edge` on each of them.
+  * A `readsDst` layer's messages, hub payloads included, are raw source
+  * payloads, and the reduce must see the receiver's state first (the round
+  * sorts each group so): folding the state computes the receiver's payload
+  * once, and each raw payload then goes through `apply_edge` into the
+  * aggregate as it arrives. A message before any state has no receiver and
+  * is dropped.
   */
 final class RoundFold(layer: GasLayer, hubPayload: Long => Option[Array[Double]]) extends Serializable {
 
   private val readsDst = layer.signature.readsDst
 
-  val zero: RoundBuf = RoundBuf(0L, null, null, null, null, null, EmptyAgg)
+  val zero: RoundBuf = RoundBuf(0L, null, null, null, null, null, null, EmptyAgg)
 
   def reduce(b: RoundBuf, r: RoundIn): RoundBuf =
-    if (r.h == null) b.copy(agg = Agg.merge(message(r.m, r.w), b.agg))
-    else {
+    if (r.h == null) {
+      if (readsDst && b.h == null) b // no state came first, so there is none
+      else b.copy(agg = Agg.merge(message(b, r.m, r.w), b.agg))
+    } else {
       require(b.h == null, s"duplicate vertex id ${r.key} in the node table")
-      val agg =
-        if (r.m != null) Agg.merge(message(r.m, r.w), b.agg)
-        else hubMessages(r).foldLeft(b.agg)((acc, m) => Agg.merge(m, acc))
-      RoundBuf(r.key, r.h, r.dsts, r.ws, r.hubSrcs, r.hubWs, agg)
+      val s = RoundBuf(r.key, r.h, r.dsts, r.ws, r.hubSrcs, r.hubWs,
+        if (readsDst) layer.scatterPayload(r.h) else null, b.agg)
+      val msgs = if (r.m != null) Iterator.single(message(s, r.m, r.w)) else hubMessages(s)
+      s.copy(agg = msgs.foldLeft(s.agg)((acc, m) => Agg.merge(m, acc)))
     }
 
-  /** One message as gathered: a raw payload for a `readsDst` layer. */
-  private def message(m: Array[Double], w: Double): Agg =
-    if (readsDst) Unioned((m, w) :: Nil) else layer.initAgg(m, w)
+  /** One record's message to `b`: a raw source payload for a `readsDst` layer. */
+  private def message(b: RoundBuf, m: Array[Double], w: Double): Agg =
+    if (readsDst) edge(b, m, w) else layer.initAgg(m, w)
 
-  /** The messages over `r`'s hub in-edges whose hub has a payload. */
-  private def hubMessages(r: RoundIn): Iterator[Agg] =
-    if (r.hubSrcs == null) Iterator.empty
-    else r.hubSrcs.indices.iterator.flatMap { i =>
-      hubPayload(r.hubSrcs(i)).map(p =>
-        message(if (readsDst) p else layer.applyEdge(p, r.hubWs(i)), r.hubWs(i)))
-    }
+  /** `apply_edge` on the source payload `p` over an edge of weight `w` into
+    * `b`, whose own payload follows `p` for a `readsDst` layer.
+    */
+  private def edge(b: RoundBuf, p: Array[Double], w: Double): Agg =
+    layer.initAgg(layer.applyEdge(if (readsDst) VecOps.concat(p, b.payload) else p, w), w)
+
+  /** The messages over `b`'s hub in-edges whose hub has a payload. */
+  private def hubMessages(b: RoundBuf): Iterator[Agg] =
+    if (b.hubSrcs == null) Iterator.empty
+    else b.hubSrcs.indices.iterator.flatMap(i => hubPayload(b.hubSrcs(i)).map(edge(b, _, b.hubWs(i))))
 
   /** In-mapper combining (Lin & Schatz, MLG 2010): folds one map task's
     * records per receiver in a hash map and emits one record per receiver,
@@ -355,21 +367,9 @@ final class RoundFold(layer: GasLayer, hubPayload: Long => Option[Array[Double]]
     })
   }
 
-  /** `b`'s gathered messages; for a `readsDst` layer, which needs the
-    * receiver's state, `apply_edge` runs here on each raw payload.
-    */
-  private def gathered(b: RoundBuf): Agg = b.agg match {
-    case Unioned(raw) if readsDst =>
-      val dst = layer.scatterPayload(b.h)
-      raw.foldLeft(EmptyAgg: Agg) { case (acc, (p, w)) =>
-        Agg.merge(layer.initAgg(layer.applyEdge(VecOps.concat(p, dst), w), w), acc)
-      }
-    case agg => agg
-  }
-
   /** None for a key with no state: messages to a missing vertex are dropped. */
   def finish(b: RoundBuf): Option[RoundOut] =
-    Option(b.h).map(h => RoundOut(b.key, layer.applyNode(h, gathered(b)), b.dsts, b.ws, b.hubSrcs, b.hubWs))
+    Option(b.h).map(h => RoundOut(b.key, layer.applyNode(h, b.agg), b.dsts, b.ws, b.hubSrcs, b.hubWs))
 }
 
 object RoundFold {

@@ -7,8 +7,8 @@ package repro.core
   * partial-gather) and is represented as [[Pooled]] (SAGE's weighted sum) or
   * [[SoftmaxPool]] (GAT's attention, once the edge sees the receiver's
   * score); otherwise messages are *unioned* and the real reduce happens in
-  * `apply_node` ([[Unioned]], the generic fallback and the
-  * partial-gather-disabled path). [[EmptyAgg]] stands for "no messages" and
+  * `apply_node` ([[Unioned]], the generic fallback and the Pregel
+  * backend's partial-gather-disabled path). [[EmptyAgg]] stands for "no messages" and
   * is the identity of every merge.
   */
 sealed trait Agg extends Serializable

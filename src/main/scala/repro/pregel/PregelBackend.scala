@@ -31,9 +31,12 @@ import repro.core._
   * vertices' routing tables (`GraphImpl.fromExistingRDDs`), so no layer
   * re-partitions, copies the edges or diffs old against new vertices.
   *
-  * A vertex id that appears twice in the node table fails the run with an
-  * `IllegalArgumentException` naming the id, and a NaN or infinite edge
-  * weight with one naming the edge.
+  * Edges whose source or destination has no node row are dropped, as in
+  * the MR backend: GraphX gives such an end a null state, which sends
+  * nothing, receives nothing for a `readsDst` layer, stays null and is left
+  * out of the output. A vertex id that appears twice in the node table
+  * fails the run with an `IllegalArgumentException` naming the id, and a
+  * NaN or infinite edge weight with one naming the edge.
   */
 object PregelBackend {
 
@@ -67,10 +70,11 @@ object PregelBackend {
     model.layers.foreach { layer =>
       val pg = opts.partialGather && layer.partialGather
       val readsDst = layer.signature.readsDst
-      // aggregateMessages caches the payloads, so each is computed once
-      val payload = h.mapValues(layer.scatterPayload(_))
+      // aggregateMessages caches the payloads, so each is computed once; a
+      // vertex with no node row has a null state and a null payload
+      val payload = h.mapValues(x => if (x == null) null else layer.scatterPayload(x))
       val msgs = GraphImpl.fromExistingRDDs(payload, graph.edges).aggregateMessages[Agg](
-        ctx => {
+        ctx => if (ctx.srcAttr != null && !(readsDst && ctx.dstAttr == null)) {
           val p = if (readsDst) VecOps.concat(ctx.srcAttr, ctx.dstAttr) else ctx.srcAttr
           val m = layer.applyEdge(p, ctx.attr)
           ctx.sendToDst(if (pg) layer.initAgg(m, ctx.attr) else Unioned(List((m, ctx.attr))))
@@ -78,7 +82,8 @@ object PregelBackend {
         // GraphX passes (accumulated, new): the new message goes on the left
         // so a Unioned list grows by prepending
         (acc, m) => Agg.merge(m, acc), if (readsDst) TripletFields.All else TripletFields.Src)
-      val next = h.leftJoin(msgs)((_, x, agg) => layer.applyNode(x, agg.getOrElse(EmptyAgg))).cache()
+      val next = h.leftJoin(msgs)((_, x, agg) =>
+        if (x == null) null else layer.applyNode(x, agg.getOrElse(EmptyAgg))).cache()
       next.count()
       payload.unpersist(blocking = false)
       h.unpersist(blocking = false)
@@ -87,6 +92,6 @@ object PregelBackend {
     graph.edges.unpersist(blocking = false)
 
     import spark.implicits._
-    h.map { case (id, x) => (id, x.toSeq) }.toDF("id", "h")
+    h.filter(_._2 != null).map { case (id, x) => (id, x.toSeq) }.toDF("id", "h")
   }
 }

@@ -62,8 +62,7 @@ class GeneratedGraphSpec extends SparkSpec {
     val rng = new scala.util.Random(g.seed)
     val feats = Array.fill(g.n)(Array.fill(4)(rng.nextGaussian()))
     val nodes = feats.indices.map(i => (id(i), feats(i))).toDF("id", "feat")
-    val valid = g.edges.map { case (s, d, w) => (id(s), id(d), w) }
-    val edges = (valid ++ g.dangling).toDF("src", "dst", "w")
+    val edges = (g.edges.map { case (s, d, w) => (id(s), id(d), w) } ++ g.dangling).toDF("src", "dst", "w")
     val local = LocalGraph(g.n, feats.indices.map(id).toArray, g.edges.map(_._1).toArray,
       g.edges.map(_._2).toArray, g.edges.map(_._3).toArray, DMat.fromRows(feats.toIndexedSeq), null,
       new Array[Int](g.n))
@@ -77,9 +76,7 @@ class GeneratedGraphSpec extends SparkSpec {
       assertMatchesLocal(BatchBackend.run(spark, nodes, edges, model, strategy.copy(partialGather = pg, spillDir = dir)),
         local, ref, tol = 1e-8)
     }
-    // Pregel gets the valid edges alone: GraphX gives a dangling edge's
-    // missing end a null state, and the payload of null throws
-    assertMatchesLocal(PregelBackend.run(spark, nodes, valid.toDF("src", "dst", "w"), model), local, ref, tol = 1e-8)
+    assertMatchesLocal(PregelBackend.run(spark, nodes, edges, model), local, ref, tol = 1e-8)
   }
 
   test("an empty edge table: every vertex keeps only its own state") {

@@ -25,13 +25,13 @@ class BatchBackendSpec extends SparkSpec {
       fix.local, fix.reference(sage2), tol = 1e-7)
   }
 
-  test("SAGE with partial-gather disabled (no-combiner groupByKey union) matches the reference") {
+  test("SAGE with partial-gather disabled (no combiner) matches the reference") {
     assertMatchesLocal(
       BatchBackend.run(spark, fix.nodes, fix.edges, sage2, BatchOpts(partialGather = false)),
       fix.local, fix.reference(sage2), tol = 1e-7)
   }
 
-  test("GAT 2-layer (non-associative: always unioned) matches the reference") {
+  test("GAT 2-layer (apply_edge in the reduce) matches the reference") {
     assertMatchesLocal(
       BatchBackend.run(spark, fix.nodes, fix.edges, gat2, BatchOpts()),
       fix.local, fix.reference(gat2), tol = 1e-7)
@@ -73,6 +73,54 @@ class BatchBackendSpec extends SparkSpec {
       BatchBackend.run(spark, fz.nodes, fz.edges, m,
         BatchOpts(shadowNodes = true, numWorkers = 8)),
       fz.local, fz.reference(m), tol = 1e-6)
+  }
+
+  test("each spilled round's reduce sorts once, by receiver and then state first") {
+    import org.apache.spark.repro.BusDrain
+    import org.apache.spark.sql.catalyst.expressions.{Attribute, IsNull}
+    import org.apache.spark.sql.execution.{CommandResultExec, MapGroupsExec, QueryExecution, SortExec, SparkPlan}
+    import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
+    import org.apache.spark.sql.execution.exchange.Exchange
+    import org.apache.spark.sql.util.QueryExecutionListener
+    val plans = new java.util.concurrent.ConcurrentLinkedQueue[SparkPlan]
+    val listener = new QueryExecutionListener {
+      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = plans.add(qe.executedPlan)
+      def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
+    }
+    // every node of a plan, through adaptive plans, their query stages and commands
+    def nodes(p: SparkPlan): Seq[SparkPlan] = p +: (p match {
+      case a: AdaptiveSparkPlanExec => nodes(a.executedPlan)
+      case s: QueryStageExec        => nodes(s.plan)
+      case c: CommandResultExec     => nodes(c.commandPhysicalPlan)
+      case other                    => other.children.flatMap(nodes)
+    })
+    // the sorts in `p`'s own stage, above its shuffle reads
+    def stageSorts(p: SparkPlan): Seq[SortExec] = p match {
+      case _: QueryStageExec | _: Exchange => Nil
+      case s: SortExec                     => s +: s.children.flatMap(stageSorts)
+      case other                           => other.children.flatMap(stageSorts)
+    }
+    spark.listenerManager.register(listener)
+    try Seq(sage2, gat2).foreach { m =>
+      val dir = java.nio.file.Files.createTempDirectory("bb-plan").toString
+      BatchBackend.run(spark, fix.nodes, fix.edges, m, BatchOpts(spillDir = Some(dir))).collect()
+    } finally {
+      BusDrain(spark.sparkContext)
+      spark.listenerManager.unregister(listener)
+    }
+    import scala.jdk.CollectionConverters._
+    // the round-0 join groups by `id`, a round by the key `groupByKey` appends
+    val reduces = plans.asScala.toSeq.flatMap(nodes).collect { case g: MapGroupsExec => g }
+      .filter(_.groupingAttributes.map(_.name) != Seq("id"))
+    assert(reduces.size == sage2.layers.size + gat2.layers.size, plans.asScala.mkString("\n"))
+    reduces.foreach { g =>
+      val sorts = stageSorts(g)
+      assert(sorts.size == 1, g.treeString)
+      assert(sorts.head.sortOrder.map(_.child) match {
+        case Seq(k: Attribute, IsNull(h: Attribute)) => k.exprId == g.groupingAttributes.head.exprId && h.name == "h"
+        case _                                       => false
+      }, g.treeString)
+    }
   }
 
   test("parquet spill between rounds (external-storage dataflow) is exact") {
@@ -318,13 +366,14 @@ class BatchBackendSpec extends SparkSpec {
 
   test("a duplicate vertex id fails the reduce with an error naming it") {
     val nodes = fix.nodes.union(fix.nodes.filter("id = 17"))
-    Seq(true, false).foreach { pg =>
+    // GAT sorts both states first, so the second follows the first
+    for (m <- Seq(sage2, gat2); pg <- Seq(true, false)) {
       val err = intercept[Exception] {
-        BatchBackend.run(spark, nodes, fix.edges, sage2, BatchOpts(partialGather = pg)).collect()
+        BatchBackend.run(spark, nodes, fix.edges, m, BatchOpts(partialGather = pg)).collect()
       }
       val causes = Iterator.iterate[Throwable](err)(_.getCause).takeWhile(_ != null).toSeq
       assert(causes.exists(c => c.isInstanceOf[IllegalArgumentException] &&
-        c.getMessage.contains("duplicate vertex id 17")), s"partialGather=$pg: $err")
+        c.getMessage.contains("duplicate vertex id 17")), s"${m.layers.head.signature.kind}, partialGather=$pg: $err")
     }
   }
 

@@ -3,8 +3,10 @@ package repro.batch
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 
-/** The MR round's in-mapper combiner, called directly: its output, reduced,
-  * must give every receiver what the raw records give it.
+/** The MR round's fold, called directly: the in-mapper combiner's output,
+  * reduced, must give every receiver what the raw records give it, and a
+  * `readsDst` layer's state-first fold must give what `apply_edge` on each
+  * edge gives.
   */
 class RoundFoldSpec extends AnyFunSuite {
 
@@ -102,6 +104,42 @@ class RoundFoldSpec extends AnyFunSuite {
         RoundIn(r.key, null, sage.applyEdge(p, hubWs(i)), hubWs(i), null, null, null, null))))
     assertSameAggs(reduced(new RoundFold(sage, payloads.get), withHubs), reduced(new RoundFold(sage, _ => None), asMessages))
     Seq(RoundFold.CombineCap, 2).foreach(cap => assertSameReduce(sage, withHubs, cap, payloads.get))
+  }
+
+  private val gat = Models.gat(Seq(4, 3), heads = 2).layers.head
+
+  /** A GAT receiver's state, 30 raw source payloads to it and, on the state,
+    * four hub in-edges (hub 102 has no payload); and the `SoftmaxPool` of
+    * `apply_edge(src ++ dst)` on each of those edges and the resolvable hubs.
+    */
+  private lazy val gatReceiver = {
+    val rng = new scala.util.Random(9L)
+    def vec() = Array.fill(4)(rng.nextGaussian())
+    val payloads = Map(100L -> gat.scatterPayload(vec()), 101L -> gat.scatterPayload(vec()))
+    val state = RoundIn(7L, vec(), null, 0.0, Array(1L), Array(1.0), Array(100L, 102L, 101L, 100L),
+      Array(0.5, 1.0, 2.0, 1.5))
+    val msgs = Seq.fill(30)(RoundIn(7L, null, gat.scatterPayload(vec()), rng.nextDouble() + 0.5, null, null, null, null))
+    val dst = gat.scatterPayload(state.h)
+    val edges = msgs.map(r => (r.m, r.w)) ++ state.hubSrcs.indices.flatMap(i =>
+      payloads.get(state.hubSrcs(i)).map(_ -> state.hubWs(i)))
+    val want = edges.map { case (p, w) => gat.initAgg(gat.applyEdge(VecOps.concat(p, dst), w), w) }
+      .reduce(Agg.merge)
+    (new RoundFold(gat, payloads.get), state, msgs, want)
+  }
+
+  test("a readsDst receiver's state, then its messages in any order, folds to the per-edge SoftmaxPool") {
+    val (fold, state, msgs, want) = gatReceiver
+    Seq(1L, 2L, 3L).foreach { seed =>
+      val steps = (state +: new scala.util.Random(seed).shuffle(msgs)).scanLeft(fold.zero)(fold.reduce).tail
+      steps.foreach(b => assert(b.agg.isInstanceOf[SoftmaxPool], s"seed $seed: ${b.agg.getClass.getSimpleName}"))
+      assertSameAggs(Map(7L -> steps.last), Map(7L -> fold.zero.copy(agg = want)))
+    }
+  }
+
+  test("a readsDst key with messages but no state yields no vertex record") {
+    val (fold, _, msgs, _) = gatReceiver
+    val b = msgs.foldLeft(fold.zero)(fold.reduce)
+    assert(b.agg == EmptyAgg && fold.finish(b).isEmpty)
   }
 
   test("only Pooled and SoftmaxPool states travel as one message") {

@@ -40,7 +40,7 @@ class GatLayerSpec extends AnyFunSuite {
     got.zip(want).foreach { case (a, e) => assert(math.abs(a - e) <= tol * scale, s"$a vs $e") }
   }
 
-  test("signature says partialGather=false (attention is not associative)") {
+  test("signature says partialGather and readsDst (attention is associative)") {
     // online softmax makes the reduce associative once the edge reads the receiver
     val sig = layer().signature
     assert(sig.kind == "gat" && sig.partialGather && sig.readsDst && sig.heads == 2)

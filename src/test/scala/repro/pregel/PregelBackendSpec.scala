@@ -66,6 +66,15 @@ class PregelBackendSpec extends SparkSpec {
     }
   }
 
+  test("edges with an end that has no node row are dropped, with partial-gather on and off") {
+    import spark.implicits._
+    val dangling = Seq((100000L, 17L, 1.0), (17L, 200000L, 1.0), (300000L, 400000L, 1.0)).toDF("src", "dst", "w")
+    val edges = fix.edges.select("src", "dst", "w").union(dangling)
+    for (m <- Seq(sage2, gat2); pg <- Seq(true, false))
+      assertMatchesLocal(PregelBackend.run(spark, fix.nodes, edges, m, PregelOpts(partialGather = pg)),
+        fix.local, fix.reference(m), tol = 1e-7)
+  }
+
   test("1-layer and 3-layer model depths both work") {
     val m1 = Models.sage(Seq(6, 3))
     val m3 = Models.sage(Seq(6, 5, 4, 3))
