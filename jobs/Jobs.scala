@@ -3,7 +3,6 @@ package repro.jobs
 import org.apache.spark.SparkConf
 import org.apache.spark.graphx.GraphXUtils
 import org.apache.spark.sql.SparkSession
-import repro.batch.{EdgeList, EdgeLists}
 import repro.core.{EmptyAgg, Pooled, SoftmaxPool, Unioned}
 import repro.harness._
 
@@ -11,10 +10,9 @@ import repro.harness._
   * and the tests.
   *
   * Kryo carries the GraphX backend's RDD shuffles (payloads and `Agg`
-  * messages) and the MR backend's edge-list builder ([[EdgeLists]], an RDD
-  * shuffle value), so the message classes, the builder and GraphX's own
-  * classes are registered. The MR backend's round records, combined ones
-  * included, are Dataset rows in Spark's own encoders.
+  * messages), so the message classes and GraphX's own classes are
+  * registered. Every MR exchange, the edge lists' included, carries Dataset
+  * rows in Spark's own encoders.
   *
   * The SQL shuffle, which carries every MR exchange, gets two partitions per
   * core ([[shufflePartitions]]); GraphX's RDD shuffles follow
@@ -24,8 +22,7 @@ object JobSession {
   def make(name: String): SparkSession = {
     // registerKryoClasses also selects the KryoSerializer
     val conf = new SparkConf().registerKryoClasses(Array(
-      classOf[Pooled], classOf[SoftmaxPool], classOf[Unioned], EmptyAgg.getClass, classOf[Array[Double]],
-      classOf[EdgeLists], classOf[EdgeList]))
+      classOf[Pooled], classOf[SoftmaxPool], classOf[Unioned], EmptyAgg.getClass, classOf[Array[Double]]))
     GraphXUtils.registerKryoClasses(conf)
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))

@@ -14,11 +14,12 @@ import repro.core._
   * broadcast strategy, its in-edges from hubs, the classic MapReduce graph
   * pattern in which the graph structure is passed along from mapper to
   * reducer on every iteration. One GNN layer is one round:
-  *   1. join (round 0 only): the edge lists, one row per vertex built with a
-  *      map-side `combineByKey` ([[EdgeLists]]), meet the node table in one
-  *      group per vertex (a reduce-side join). This is the only exchange in
-  *      which edges travel apart from their vertex's record, and it runs
-  *      once per run;
+  *   1. join (round 0 only): each map task folds its edges into one piece
+  *      of edge list per vertex ([[EdgeLists.pieces]], in-mapper folding),
+  *      and the pieces meet the node table in one group per vertex (a
+  *      reduce-side join), where they are concatenated. So each list crosses
+  *      the shuffle once, in the only exchange in which edges travel apart
+  *      from their vertex's record, and it runs once per run;
   *   2. map (`scatter_nbrs`): one `mapPartitions` over the vertex records
   *      computes each vertex's payload once and emits the vertex's own
   *      record, lists included, and one edge message `apply_edge(payload, w)`
@@ -94,7 +95,7 @@ object BatchBackend {
     * (`hubSrcs`, `hubWs`; both null for a vertex without any, so always null
     * without the broadcast strategy).
     */
-  private type VertexRow = (Long, Array[Double], Array[Long], Array[Double], Array[Long], Array[Double])
+  private[batch] type VertexRow = (Long, Array[Double], Array[Long], Array[Double], Array[Long], Array[Double])
 
   /** Full-graph inference; returns DataFrame(id LONG, h ARRAY&lt;DOUBLE&gt;). */
   def run(spark: SparkSession, nodes: DataFrame, edges: DataFrame, model: GnnModel,
@@ -106,18 +107,7 @@ object BatchBackend {
       Some(ShadowNodes.layout(hubDeg, thr, nodes.agg(max("id")).head().getLong(0))) else None
     val hubs: Set[Long] = if (opts.shadowNodes) Set.empty else hubDeg.keySet
 
-    // one row per vertex with its non-hub out-edges and its in-edges from
-    // hubs, combined map-side: a hub edge is keyed by its receiver, any
-    // other edge by its source; see [[EdgeLists]] for why not `collect_list`
-    val lists = edges.select("src", "dst", "w").as[(Long, Long, Double)].rdd
-      .map { case (src, dst, w) =>
-        require(java.lang.Double.isFinite(w), s"non-finite weight $w on edge $src -> $dst")
-        if (hubs(src)) (dst, (src, w, true)) else (src, (dst, w, false))
-      }
-      .combineByKey(new EdgeLists().add(_), (l: EdgeLists, e: (Long, Double, Boolean)) => l.add(e),
-        (a: EdgeLists, b: EdgeLists) => a.addAll(b))
-      .map { case (id, l) => (id, l.out.ids, l.out.ws, l.hubIn.ids, l.hubIn.ws) }
-      .toDF("id", "dsts", "ws", "hubSrcs", "hubWs")
+    val pieces = edges.select("src", "dst", "w").as[(Long, Long, Double)].mapPartitions(EdgeLists.pieces(_, hubs))
     var cur = nodes.select(col("id"), col("feat").as("h"))
     model.layers.zipWithIndex.foreach { case (layer, round) =>
       // the hubs' payloads alone (a hub with no node row has none), read
@@ -126,7 +116,7 @@ object BatchBackend {
         cur.filter(col("id").isInCollection(hubs)).select("id", "h").as[(Long, Array[Double])]
           .map { case (id, h) => (id, layer.scatterPayload(if (round == 0) model.input(id, h) else h)) }
           .collect().toMap))
-      val rows = if (round == 0) withEdgeLists(spark, cur, lists, model, layout) else cur.as[VertexRow]
+      val rows = if (round == 0) withEdgeLists(spark, cur, pieces, model, layout) else cur.as[VertexRow]
       val last = round == model.layers.size - 1
       cur = materialize(spark, runRound(spark, rows, hubPayloads, layer, last, opts), opts, round)
       hubPayloads.foreach(_.destroy())
@@ -136,25 +126,28 @@ object BatchBackend {
   }
 
   /** The vertex records of round 0: a reduce-side join, as in MapReduce,
-    * where a vertex's state row and its edge-list row (at most one; none if
-    * it has no list) meet in one group, so each task sorts once where a
-    * sort-merge join sorts both sides and holds two sort pages. A list whose
-    * vertex has no node row meets no state and is dropped. Under
-    * shadow-nodes each vertex is split here, as its state meets its list.
+    * where a vertex's state row and its edge-list pieces (any number of
+    * them: one from each map task that held its edges, none if it has no
+    * list) meet in one group, so each task sorts once where a sort-merge
+    * join sorts both sides and holds two sort pages. The pieces are
+    * concatenated into the vertex's lists; pieces whose vertex has no node
+    * row meet no state and are dropped. Under shadow-nodes each vertex is
+    * split here, as its state meets its lists.
     */
-  private def withEdgeLists(spark: SparkSession, states: DataFrame, lists: DataFrame, model: GnnModel,
+  private def withEdgeLists(spark: SparkSession, states: DataFrame, pieces: Dataset[VertexRow], model: GnnModel,
                             layout: Option[ShadowNodes.Layout]): Dataset[VertexRow] = {
     import spark.implicits._
     val noLists = Seq("dsts" -> "array<bigint>", "ws" -> "array<double>", "hubSrcs" -> "array<bigint>",
       "hubWs" -> "array<double>").map { case (c, t) => lit(null).cast(t).as(c) }
     states.select(col("id") +: col("h") +: noLists: _*)
-      .union(lists.select(col("id"), lit(null).cast("array<double>").as("h"), col("dsts"), col("ws"),
-        col("hubSrcs"), col("hubWs")))
+      .union(pieces.toDF())
       .groupBy("id").as[Long, VertexRow]
       .flatMapGroups { (_, group) =>
-        val (stateRows, listRows) = group.toList.partition(_._2 != null)
+        val lists = new EdgeLists
+        val stateRows = mutable.ArrayBuffer.empty[VertexRow]
+        group.foreach(r => if (r._2 != null) stateRows += r else lists.addPiece(r))
         stateRows.iterator.flatMap { st =>
-          val row = listRows.headOption.getOrElse(st).copy(_2 = model.input(st._1, st._2))
+          val row = lists.row(st._1, model.input(st._1, st._2))
           layout.fold(Iterator.single(row))(l => ShadowNodes.split(l, row._1, row._2, row._3, row._4)
             .map { case (id, h, dsts, ws) => (id, h, dsts, ws, row._5, row._6) })
         }
@@ -212,35 +205,66 @@ object BatchBackend {
 
 /** One vertex's edge lists while they are built: its non-hub out-edges
   * (`out`: destinations and weights) and its in-edges from broadcast hubs
-  * (`hubIn`: sources and weights). The lists are built with `combineByKey`
-  * and not with `collect_list`: Spark's object hash aggregate falls back to
-  * sorting past 128 keys per task and then holds two sort pages per task at
-  * once (16 MB each with a 3 GB heap on 4 cores). The on-heap allocator
-  * keeps freed pages in a pool held by weak references, which G1's young
-  * collections do not clear, so that one burst kept twelve pages (192 MB) in
-  * the heap for the JVM's life.
+  * (`hubIn`: sources and weights).
+  *
+  * The lists are built by in-mapper folding ([[EdgeLists.pieces]], as
+  * [[RoundFold.combine]] folds a round's messages) inside the round-0 join's
+  * exchange, so each list crosses the shuffle once. Not with `collect_list`:
+  * Spark's object hash aggregate falls back to sorting past 128 keys per task
+  * and then holds two sort pages per task at once (16 MB each with a 3 GB
+  * heap on 4 cores). The on-heap allocator keeps freed pages in a pool held
+  * by weak references, which G1's young collections do not clear, so that
+  * one burst kept twelve pages (192 MB) in the heap for the JVM's life. Not
+  * with an RDD `combineByKey` either: it shuffled every list once on its own
+  * and then again in the join, next to the state.
   */
-final class EdgeLists extends Serializable {
+final class EdgeLists {
   val out = new EdgeList
   val hubIn = new EdgeList
 
-  /** Adds an edge `(other end, weight, from a hub)`: to `hubIn` if it comes from a hub. */
-  def add(e: (Long, Double, Boolean)): EdgeLists = {
-    (if (e._3) hubIn else out).add(e._1, e._2)
-    this
+  /** Appends the lists of a piece: a vertex record whose state is null. */
+  def addPiece(r: BatchBackend.VertexRow): Unit = {
+    out.addAll(r._3, r._4)
+    hubIn.addAll(r._5, r._6)
   }
 
-  def addAll(o: EdgeLists): EdgeLists = {
-    out.addAll(o.out)
-    hubIn.addAll(o.hubIn)
-    this
-  }
+  /** A vertex record of vertex `id` with state `h` and these lists. */
+  def row(id: Long, h: Array[Double]): BatchBackend.VertexRow = (id, h, out.ids, out.ws, hubIn.ids, hubIn.ws)
+}
+
+object EdgeLists {
+
+  /** The most vertices one map task folds lists for before it emits their
+    * pieces and starts over: far above a benchmark task's few thousand, and
+    * a bound on the fold's memory where a task sees more.
+    */
+  val FoldCap = 65536
+
+  /** In-mapper folding of one map task's edges `(src, dst, w)`: a hub edge
+    * (its source in `hubs`) goes to its receiver's `hubIn`, any other edge
+    * to its source's `out`, and each vertex the task saw leaves as one piece,
+    * a vertex record with a null state. Past `cap` vertices the fold emits
+    * its pieces and starts over, so a vertex may have several pieces; the
+    * round-0 join concatenates them.
+    */
+  def pieces(edges: Iterator[(Long, Long, Double)], hubs: Set[Long],
+             cap: Int = FoldCap): Iterator[BatchBackend.VertexRow] =
+    Iterator.continually {
+      val lists = mutable.LongMap.empty[EdgeLists]
+      while (lists.size < cap && edges.hasNext) {
+        val (src, dst, w) = edges.next()
+        require(java.lang.Double.isFinite(w), s"non-finite weight $w on edge $src -> $dst")
+        if (hubs(src)) lists.getOrElseUpdate(dst, new EdgeLists).hubIn.add(src, w)
+        else lists.getOrElseUpdate(src, new EdgeLists).out.add(dst, w)
+      }
+      lists
+    }.takeWhile(_.nonEmpty).flatMap(_.iterator.map { case (id, l) => l.row(id, null) })
 }
 
 /** `n` edges, the vertex at their other end and their weight, in two arrays
   * grown in place, so a long list is never copied per edge.
   */
-final class EdgeList extends Serializable {
+final class EdgeList {
   private var n = 0
   private var others = Array.emptyLongArray
   private var weights = Array.emptyDoubleArray
@@ -255,7 +279,9 @@ final class EdgeList extends Serializable {
     n += 1
   }
 
-  def addAll(o: EdgeList): Unit = (0 until o.n).foreach(i => add(o.others(i), o.weights(i)))
+  /** Appends the edges `others`, `weights`; null adds none. */
+  def addAll(others: Array[Long], weights: Array[Double]): Unit =
+    if (others != null) others.indices.foreach(i => add(others(i), weights(i)))
 
   /** The vertices at the other end, trimmed; null for an empty list. */
   def ids: Array[Long] = if (n == 0) null else others.take(n)

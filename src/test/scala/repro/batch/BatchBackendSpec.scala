@@ -190,12 +190,12 @@ class BatchBackendSpec extends SparkSpec {
     val (_, cost) = SparkCost.measure(spark, "bb-no-combiner") {
       BatchBackend.run(spark, fix.nodes, fix.edges, sage2, BatchOpts(partialGather = false)).collect()
     }
-    // each source's edges sit in one partition of the fixture, so building
-    // the out-edge lists writes one record per source; the join, once per
-    // run, moves each state and each list once; per round the reduce moves
-    // each message and each vertex record once (nothing combined)
+    // each source's edges sit in one partition of the fixture, so the join,
+    // once per run, moves each state and one list piece per source; per
+    // round the reduce moves each message and each vertex record once
+    // (nothing combined)
     val sources = fix.edges.select("src").distinct().count()
-    assert(cost.shuffleWriteRecords == sources + (n + sources) + sage2.layers.size * (e + n))
+    assert(cost.shuffleWriteRecords == n + sources + sage2.layers.size * (e + n))
   }
 
   test("with broadcast on, hub edges cross the shuffle only in the round-0 join") {
@@ -215,16 +215,68 @@ class BatchBackendSpec extends SparkSpec {
     val isHub = col("src").isInCollection(hubs)
     val hubEdges = fz.edges.filter(isHub).count()
     assert(hubEdges > 0)
-    // building the lists writes one record per key and map task, a hub edge
-    // keyed by its receiver and any other edge by its source; the join moves
-    // each state and each list once; per round the reduce moves each vertex
-    // record and each non-hub edge message once, and no hub edge
+    // the join moves each state and one list piece per key and map task, a
+    // hub edge keyed by its receiver and any other edge by its source; per
+    // round the reduce moves each vertex record and each non-hub edge
+    // message once, and no hub edge
     val key = when(isHub, col("dst")).otherwise(col("src"))
     val listRecords = fz.edges.select(spark_partition_id(), key).distinct().count()
-    val lists = fz.edges.select(key).distinct().count()
     val rounds = sage2Wide.layers.size
     assert(cost.shuffleWriteRecords - search.shuffleWriteRecords ==
-      listRecords + (n + lists) + rounds * (n + fz.edges.count() - hubEdges))
+      listRecords + n + rounds * (n + fz.edges.count() - hubEdges))
+  }
+
+  test("a vertex's edges spread over several map tasks meet as list pieces in the round-0 join, exactly") {
+    import org.apache.spark.sql.functions.{col, spark_partition_id}
+    val fz = fixture(spark, GraphGen.powerLaw(400, avgDeg = 8, inSkew = false, seed = 67L))
+    // round-robin rows put a source's edges in several partitions, so
+    // several map tasks each fold a piece of its list
+    val edges = fz.edges.repartition(4).cache()
+    val n = fz.nodes.count()
+    val e = edges.count()
+    val pieces = edges.select(spark_partition_id(), col("src")).distinct().count()
+    assert(pieces > edges.select("src").distinct().count(), "no source has edges in two partitions")
+    val ref = fz.reference(sage2Wide)
+    try for {
+      strategy <- Seq(BatchOpts(), BatchOpts(broadcastHubs = true), BatchOpts(shadowNodes = true))
+      pg <- Seq(true, false)
+    } {
+      val opts = strategy.copy(partialGather = pg, numWorkers = 8)
+      val (_, cost) = SparkCost.measure(spark, "bb-pieces") {
+        assertMatchesLocal(BatchBackend.run(spark, fz.nodes, edges, sage2Wide, opts), fz.local, ref, tol = 1e-8)
+      }
+      // the join moves each state and each piece once; per round the reduce
+      // moves each message and each vertex record once
+      if (opts == BatchOpts(partialGather = false, numWorkers = 8))
+        assert(cost.shuffleWriteRecords == n + pieces + sage2Wide.layers.size * (e + n))
+    } finally edges.unpersist()
+  }
+
+  test("a default spilled MR op runs one shuffle stage for the round-0 join and one per round") {
+    import org.apache.spark.repro.BusDrain
+    import org.apache.spark.scheduler.{SparkListener, SparkListenerStageCompleted, SparkListenerStageSubmitted}
+    val group = "bb-stages"
+    val inGroup = java.util.concurrent.ConcurrentHashMap.newKeySet[Int]
+    val stages = new java.util.concurrent.atomic.AtomicInteger
+    // the group's stages that wrote shuffle output
+    val listener = new SparkListener {
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit =
+        if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group)) inGroup.add(e.stageInfo.stageId)
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit =
+        if (inGroup.contains(e.stageInfo.stageId) && e.stageInfo.taskMetrics.shuffleWriteMetrics.recordsWritten > 0)
+          stages.incrementAndGet()
+    }
+    fix.nodes.count(); fix.edges.count()
+    spark.sparkContext.addSparkListener(listener)
+    try Seq(sage2, gat2).foreach { m =>
+      stages.set(0)
+      val dir = java.nio.file.Files.createTempDirectory("bb-stages").toString
+      spark.sparkContext.setJobGroup(group, group, interruptOnCancel = false)
+      try BatchBackend.run(spark, fix.nodes, fix.edges, m, BatchOpts(spillDir = Some(dir))).collect()
+      finally spark.sparkContext.clearJobGroup()
+      BusDrain(spark.sparkContext)
+      assert(stages.get == m.layers.size + 1, m.layers.head.signature.kind)
+    } finally spark.sparkContext.removeSparkListener(listener)
   }
 
   test("results, and records without partial-gather, do not depend on spark.sql.shuffle.partitions") {
